@@ -87,8 +87,8 @@ let spsc ?(capacity = 2) ?(values = 3) () : Explore.model =
 
 let arena_cfg = { Config.small with backend = Mem.Sched Mem.Flat }
 
-(* Shared oracle tail: a leak-free, count-consistent, fsck-clean pool and a
-   causally-sane era matrix. *)
+(* Shared oracle tail: a leak-free, count-consistent pool (one
+   [Validate.run]) and a causally-sane era matrix. *)
 let arena_audit arena ~cids =
   let svc = Shm.service_ctx arena in
   ignore (Shm.scan_leaking arena);
@@ -110,9 +110,7 @@ let arena_audit arena ~cids =
       | es -> " [" ^ String.concat "; " es ^ "]")
   in
   let v = Shm.validate arena in
-  if not (Validate.is_clean v) then fail "validate: %s" (detail v);
-  let f = Fsck.check (Shm.mem arena) (Shm.layout arena) in
-  if not (Validate.is_clean f) then fail "fsck: %s" (detail f)
+  if not (Validate.is_clean v) then fail "validate: %s" (detail v)
 
 (* Post-run oracle for full-arena models: recover every crashed client the
    way the monitor would, then audit. *)

@@ -381,6 +381,12 @@ let huge_data_words (ctx : Ctx.t) obj =
        we have. *)
     Obj_header.meta_data_words (Ctx.load ctx (Obj_header.meta_of_obj obj))
 
+let release_huge_cont (ctx : Ctx.t) s =
+  for p = 0 to (Ctx.cfg ctx).Config.pages_per_segment - 1 do
+    Page.wipe ctx ~gid:(Layout.page_gid ctx.Ctx.lay ~seg:s ~page:p)
+  done;
+  Segment.release ctx s
+
 let free_huge (ctx : Ctx.t) obj =
   let head = Layout.segment_of_addr ctx.Ctx.lay obj in
   let n = huge_span ctx ~head_seg:head in
@@ -390,7 +396,7 @@ let free_huge (ctx : Ctx.t) obj =
      head — the only segment the rest of the run is discoverable from — is
      wiped and released last. *)
   for k = n - 1 downto 1 do
-    Segment.release ctx (head + k);
+    release_huge_cont ctx (head + k);
     Ctx.crash_point ctx Fault.Free_huge_mid_release
   done;
   let pps = (Ctx.cfg ctx).Config.pages_per_segment in

@@ -45,6 +45,11 @@ val collect_deferred : Ctx.t -> unit
 (** Drain the cross-client free stacks of this client's segments back into
     their pages (slow-path housekeeping). *)
 
+val release_huge_cont : Ctx.t -> int -> unit
+(** Release one continuation segment of a huge run. Its header words held
+    the object's payload, so its page metadata is wiped first: the next
+    claimant must find unused pages, not payload read as carved ones. *)
+
 val is_huge : Ctx.t -> Cxlshm_shmem.Pptr.t -> bool
 val huge_span : Ctx.t -> head_seg:int -> int
 (** Number of segments occupied by the huge object headed at [head_seg]. *)

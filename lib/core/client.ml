@@ -9,12 +9,17 @@ let status_name = function
   | Failed -> "failed"
   | Suspected -> "suspected"
 
-let status_of_int = function
-  | 0 -> Slot_free
-  | 1 -> Alive
-  | 2 -> Failed
-  | 3 -> Suspected
-  | n -> invalid_arg (Printf.sprintf "Client.status_of_int: %d" n)
+let status_of_word = function
+  | 0 -> Some Slot_free
+  | 1 -> Some Alive
+  | 2 -> Some Failed
+  | 3 -> Some Suspected
+  | _ -> None
+
+let status_of_int n =
+  match status_of_word n with
+  | Some s -> s
+  | None -> invalid_arg (Printf.sprintf "Client.status_of_int: %d" n)
 
 let status_to_int = function
   | Slot_free -> 0
@@ -126,11 +131,7 @@ let unregister (ctx : Ctx.t) =
          release still in flight (ours completed before leave; a peer's
          keeps its block off-list) holds [used] above 0. *)
       | (Segment.Active | Segment.Leaking) when segment_empty ctx seg ->
-          let cfg = Ctx.cfg ctx in
-          for p = 0 to cfg.Config.pages_per_segment - 1 do
-            Page.reset ctx ~gid:(Layout.page_gid ctx.lay ~seg ~page:p)
-          done;
-          Segment.release ctx seg
+          Reclaim.recycle_plain_segment ctx seg
       | Segment.Active | Segment.Leaking -> Segment.orphan ctx ~cid:ctx.cid seg
       | Segment.Huge_head | Segment.Huge_cont ->
           (* Live huge object: leave owned; remote holders keep it alive and

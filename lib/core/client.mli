@@ -17,6 +17,9 @@ type status =
 
 val status_name : status -> string
 
+val status_of_word : int -> status option
+(** Decode a slot's flags word; [None] for a word no status encodes. *)
+
 val register : mem:Cxlshm_shmem.Mem.t -> lay:Layout.t -> ?cid:int -> unit -> Ctx.t
 (** Claim a client slot ([?cid] forces a specific one) and initialise the
     era row, redo log and page tables. Raises [Failure] when no slot is
@@ -29,6 +32,10 @@ val unregister : Ctx.t -> unit
     RootRefs are treated exactly like a crash (recovery will reap them). *)
 
 val status : Ctx.t -> cid:int -> status
+
+val segment_empty : Ctx.t -> int -> bool
+(** Every page of the segment unused or with a zero [used] counter: no
+    carved block is off its free list, so the owner may release it. *)
 
 val is_alive : Ctx.t -> cid:int -> bool
 (** True for [Alive] {e and} [Suspected] — suspicion is a cancellable

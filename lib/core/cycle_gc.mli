@@ -7,11 +7,12 @@
     {e stop-the-world} mark-and-sweep over the shared pool that reclaims
     reference-counted garbage cycles.
 
-    Roots are everything the validator recognises as a reference holder:
-    in-use RootRefs, queue-directory entries (ring contents are embedded
-    references of the queue object and get traced), and named persistent
-    roots. Any block with a positive count that is unreachable from those
-    roots is cycle garbage: its count can never reach zero.
+    Roots are {!Walk.roots}: in-use RootRefs, queue-directory entries (ring
+    contents are embedded references of the queue object and get traced),
+    and named persistent roots. Marking is {!Walk.reach}, so a word that
+    names no block is never followed. Any block with a positive count that
+    is unreachable from those roots is cycle garbage: its count can never
+    reach zero.
 
     Unlike CXL-SHM's recovery this {b is} blocking and heap-proportional —
     exactly the §4.1 trade-off — so it is meant to run rarely, at

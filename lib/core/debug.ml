@@ -1,11 +1,7 @@
 module Mem = Cxlshm_shmem.Mem
 
-let flags_name = function
-  | 0 -> "free"
-  | 1 -> "alive"
-  | 2 -> "failed"
-  | 3 -> "suspected"
-  | n -> Printf.sprintf "?%d" n
+let decoded name decode n =
+  match decode n with Some v -> name v | None -> Printf.sprintf "?%d" n
 
 let pp_clients ppf (mem, lay) =
   let peek = Mem.unsafe_peek mem in
@@ -15,7 +11,8 @@ let pp_clients ppf (mem, lay) =
     let flags = peek (Layout.client_flags lay cid) in
     if flags <> 0 then
       Format.fprintf ppf "  cid %-3d %-7s era=%-6d heartbeat=%-6d hazard=%d@."
-        cid (flags_name flags)
+        cid
+        (decoded Client.status_name Client.status_of_word flags)
         (peek (Layout.era_cell lay cid cid))
         (peek (Layout.client_heartbeat lay cid))
         (peek (Layout.client_hazard lay cid))
@@ -41,41 +38,35 @@ let pp_era_matrix ppf (mem, lay) =
       Format.fprintf ppf "@.")
     active
 
-let seg_state_name = function
-  | 0 -> "free"
-  | 1 -> "active"
-  | 2 -> "orphan"
-  | 3 -> "leaking"
-  | 4 -> "huge"
-  | 5 -> "huge+"
-  | n -> Printf.sprintf "?%d" n
+(* Raw kind words of the carved pages of segment [s]. *)
+let carved mem lay s =
+  List.filter_map
+    (fun gid ->
+      let k = Mem.unsafe_peek mem (Layout.page_kind lay ~gid) in
+      if k <> Config.kind_unused then Some k else None)
+    (Walk.seg_pages lay s)
 
 let pp_segments ppf (mem, lay) =
   let peek = Mem.unsafe_peek mem in
-  let cfg = lay.Layout.cfg in
-  Format.fprintf ppf "segments (%d x %d words):@." cfg.Config.num_segments
+  Format.fprintf ppf "segments (%d x %d words):@." lay.Layout.cfg.Config.num_segments
     lay.Layout.segment_words;
-  for s = 0 to cfg.Config.num_segments - 1 do
-    let occ = peek (Layout.seg_occupied lay s) in
-    let st = peek (Layout.seg_state lay s) in
-    if occ <> 0 || st <> 0 then begin
-      let kinds = Hashtbl.create 8 in
-      for p = 0 to cfg.Config.pages_per_segment - 1 do
-        let gid = Layout.page_gid lay ~seg:s ~page:p in
-        let k = peek (Layout.page_kind lay ~gid) in
-        if k <> 0 then
-          Hashtbl.replace kinds k (1 + (try Hashtbl.find kinds k with Not_found -> 0))
-      done;
-      let pages =
-        Hashtbl.fold (fun k n acc -> Printf.sprintf "%dx(kind %d)" n k :: acc) kinds []
-      in
-      Format.fprintf ppf "  seg %-3d %-8s owner=%-4s v%-3d pages: %s@." s
-        (seg_state_name st)
-        (if occ = 0 then "-" else string_of_int (occ - 1))
-        (peek (Layout.seg_version lay s))
-        (if pages = [] then "none" else String.concat " " pages)
-    end
-  done
+  Walk.iter_segments mem lay (fun s _ ->
+      let occ = peek (Layout.seg_occupied lay s) in
+      let st = peek (Layout.seg_state lay s) in
+      if occ <> 0 || st <> 0 then begin
+        let kinds = carved mem lay s in
+        let pages =
+          List.map
+            (fun k ->
+              Printf.sprintf "%dx(kind %d)" (List.length (List.filter (( = ) k) kinds)) k)
+            (List.sort_uniq compare kinds)
+        in
+        Format.fprintf ppf "  seg %-3d %-17s owner=%-4s v%-3d pages: %s@." s
+          (decoded Segment.state_name Segment.state_of_word st)
+          (if occ = 0 then "-" else string_of_int (occ - 1))
+          (peek (Layout.seg_version lay s))
+          (if pages = [] then "none" else String.concat " " pages)
+      end)
 
 let pp_queues ppf (mem, lay) =
   let refs = Transfer.directory_refs mem lay in
@@ -101,13 +92,9 @@ let summary mem lay =
   for cid = 0 to cfg.Config.max_clients - 1 do
     if peek (Layout.client_flags lay cid) = 1 then incr alive
   done;
-  let owned = ref 0 and carved = ref 0 in
-  for s = 0 to cfg.Config.num_segments - 1 do
-    if peek (Layout.seg_occupied lay s) <> 0 then incr owned;
-    for p = 0 to cfg.Config.pages_per_segment - 1 do
-      let gid = Layout.page_gid lay ~seg:s ~page:p in
-      if peek (Layout.page_kind lay ~gid) <> 0 then incr carved
-    done
-  done;
+  let owned = ref 0 and pages = ref 0 in
+  Walk.iter_segments mem lay (fun s _ ->
+      if peek (Layout.seg_occupied lay s) <> 0 then incr owned;
+      pages := !pages + List.length (carved mem lay s));
   Printf.sprintf "%d client(s) alive, %d/%d segment(s) owned, %d page(s) carved"
-    !alive !owned cfg.Config.num_segments !carved
+    !alive !owned cfg.Config.num_segments !pages

@@ -109,8 +109,9 @@ let live_obj (ctx : Ctx.t) obj =
   Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj obj)) > 0
 
 (* Every reference word in the arena currently pointing at [obj]:
-   in-use RootRef pptr slots and embedded slots of live objects. Mirrors
-   the fsck enumeration (Validate.run) with attributed loads. *)
+   in-use RootRef pptr slots and embedded slots of live objects — the
+   holders [Walk.holders] counts, found here with attributed loads because
+   the evacuator is an online client whose traffic is modeled. *)
 let holders_of (ctx : Ctx.t) ~obj =
   let cfg = Ctx.cfg ctx in
   let acc = ref [] in
@@ -464,10 +465,7 @@ let run ~mem ~lay =
                 (* The evacuator never allocates on a degraded device; an
                    owned-by-us empty segment here means the ladder had
                    nothing healthy. Give it straight back. *)
-                for p = 0 to cfg.Config.pages_per_segment - 1 do
-                  Page.reset ctx ~gid:(Layout.page_gid lay ~seg ~page:p)
-                done;
-                Segment.release ctx seg;
+                Reclaim.recycle_plain_segment ctx seg;
                 r.recycled_segments <- r.recycled_segments + 1
             | Some o ->
                 (* Orphaned/Leaking leftovers of a departed owner go through
@@ -500,17 +498,6 @@ let reset_degraded_cursors (ctx : Ctx.t) =
   done;
   let cur = Ctx.load_cur_segment ctx in
   if cur <> 0 && seg_on_degraded ctx (cur - 1) then Ctx.store_cur_segment ctx 0
-
-let segment_empty (ctx : Ctx.t) seg =
-  let cfg = Ctx.cfg ctx in
-  let rec go p =
-    if p >= cfg.Config.pages_per_segment then true
-    else
-      let gid = Layout.page_gid ctx.Ctx.lay ~seg ~page:p in
-      (Page.kind ctx ~gid = Config.kind_unused || Page.used ctx ~gid = 0)
-      && go (p + 1)
-  in
-  go 0
 
 let relocate_own (ctx : Ctx.t) =
   let r = empty_report () in
@@ -566,12 +553,8 @@ let relocate_own (ctx : Ctx.t) =
       (fun seg ->
         if seg_on_degraded ctx seg then
           match Segment.state ctx seg with
-          | Segment.Active | Segment.Leaking when segment_empty ctx seg ->
-              let cfg = Ctx.cfg ctx in
-              for p = 0 to cfg.Config.pages_per_segment - 1 do
-                Page.reset ctx ~gid:(Layout.page_gid ctx.Ctx.lay ~seg ~page:p)
-              done;
-              Segment.release ctx seg;
+          | Segment.Active | Segment.Leaking when Client.segment_empty ctx seg ->
+              Reclaim.recycle_plain_segment ctx seg;
               r.recycled_segments <- r.recycled_segments + 1
           | _ -> ())
       (Segment.owned_by ctx ~cid:ctx.Ctx.cid);

@@ -23,31 +23,30 @@
         orphaned huge-continuation segments are released
      5. POTENTIAL_LEAKING scan, then a final [Validate.run]
 
+   Every pass enumerates through [Walk], called afresh after each pass
+   that writes, so later passes see the image the earlier ones repaired.
+
    Repair is deliberately lossy where the damage is lossy: a torn header
    cannot be un-torn, so the block is either resurrected with its holder
    count or freed; fsck restores the arena's invariants, not its data. *)
 
 module Mem = Cxlshm_shmem.Mem
-module Word = Cxlshm_shmem.Word
 
 type report = {
-  seg_meta_fixed : int;  (** out-of-range segment state/owner words reset *)
+  seg_meta_fixed : int;
   pages_quarantined : int;
-  page_meta_fixed : int;  (** stale metadata of unused pages normalised *)
+  page_meta_fixed : int;
   torn_headers_cleared : int;
-  clients_swept : int;  (** recorded clients put through crash recovery *)
-  sweep_errors : int;  (** recovery attempts that raised (state too damaged) *)
+  clients_swept : int;
+  sweep_errors : int;
   wild_refs_cleared : int;
   unreachable_freed : int;
   counts_fixed : int;
-  chains_rebuilt : int;  (** pages whose free chain had to be reconstructed *)
-  stacks_cleared : int;  (** non-empty cross-client free stacks zeroed *)
-  trace_rings_reset : int;  (** event rings zeroed (bad cursor / torn slot) *)
+  chains_rebuilt : int;
+  stacks_cleared : int;
+  trace_rings_reset : int;
   adopt_fixed : int;
-      (** adoption-journal / park-registry entries cleared (dangling
-          rootref, stale claim, duplicate, or registry residue of a freed
-          client slot) *)
-  validation : Validate.t;  (** final post-repair verdict *)
+  validation : Validate.t;
 }
 
 let clean r = Validate.is_clean r.validation
@@ -61,25 +60,7 @@ let pp ppf r =
     r.unreachable_freed r.counts_fixed r.chains_rebuilt r.stacks_cleared
     r.trace_rings_reset r.adopt_fixed Validate.pp r.validation
 
-let check mem lay = Validate.run mem lay
-
 (* ------------------------------------------------------------------ *)
-
-type acc = {
-  mutable segf : int;
-  mutable quar : int;
-  mutable pmeta : int;
-  mutable torn : int;
-  mutable swept : int;
-  mutable swerr : int;
-  mutable wild : int;
-  mutable freed : int;
-  mutable counts : int;
-  mutable chains : int;
-  mutable stacks : int;
-  mutable rings : int;
-  mutable adopt : int;
-}
 
 let repair (ctx : Ctx.t) =
   let mem = ctx.Ctx.mem and lay = ctx.Ctx.lay in
@@ -88,35 +69,33 @@ let repair (ctx : Ctx.t) =
      already did is exactly what we are here to fix). *)
   Mem.set_fault_injection mem false;
   let peek = Mem.unsafe_peek mem and poke = Mem.unsafe_poke mem in
-  let a =
-    { segf = 0; quar = 0; pmeta = 0; torn = 0; swept = 0; swerr = 0; wild = 0;
-      freed = 0; counts = 0; chains = 0; stacks = 0; rings = 0; adopt = 0 }
+  let segf = ref 0 and quar = ref 0 and pmeta = ref 0 and torn = ref 0 in
+  let swept = ref 0 and swerr = ref 0 and wild = ref 0 and freed = ref 0 in
+  let counts = ref 0 and chains = ref 0 and stacks = ref 0 and rings = ref 0 in
+  let adopt = ref 0 in
+  (* Zero [words] unless they already are, counting one fix. *)
+  let clear counter words =
+    if List.exists (fun w -> peek w <> 0) words then begin
+      List.iter (fun w -> poke w 0) words;
+      incr counter
+    end
   in
-  let ns = cfg.Config.num_segments and pps = cfg.Config.pages_per_segment in
-  let rr_kind = Config.kind_rootref cfg in
-  let huge_kind = Config.kind_huge cfg in
-  let q_kind = Config.kind_quarantined cfg in
-  let seg_state s = peek (Layout.seg_state lay s) in
-  let page_kind gid = peek (Layout.page_kind lay ~gid) in
-  let huge_head s = seg_state s = 4 || page_kind (Layout.page_gid lay ~seg:s ~page:0) = huge_kind in
-  let huge_seg s = huge_head s || seg_state s = 5 in
-  let huge_obj s = Layout.segment_base lay s + lay.Layout.seg_hdr_words in
+  let release_seg s =
+    poke (Layout.seg_state lay s) 0;
+    poke (Layout.seg_occupied lay s) 0
+  in
 
   (* ---- pass 0: segment metadata sanity ---- *)
-  for s = 0 to ns - 1 do
-    let st = seg_state s in
-    if st < 0 || st > 5 then begin
-      (* unknown state: pessimistically POTENTIAL_LEAKING so the scan of
-         pass 5 walks the segment's blocks *)
-      poke (Layout.seg_state lay s) 3;
-      a.segf <- a.segf + 1
-    end;
-    let occ = peek (Layout.seg_occupied lay s) in
-    if occ < 0 || occ > cfg.Config.max_clients then begin
-      poke (Layout.seg_occupied lay s) 0;
-      a.segf <- a.segf + 1
-    end
-  done;
+  Walk.iter_segments mem lay (fun s _ ->
+      if Walk.seg_state mem lay s = None then begin
+        (* unknown state: pessimistically POTENTIAL_LEAKING so the scan of
+           pass 5 walks the segment's blocks *)
+        poke (Layout.seg_state lay s) 3;
+        incr segf
+      end;
+      let occ = peek (Layout.seg_occupied lay s) in
+      if occ < 0 || occ > cfg.Config.max_clients then
+        clear segf [ Layout.seg_occupied lay s ]);
 
   (* ---- pass 1: page geometry and torn headers ---- *)
   let zero_page_meta gid =
@@ -129,8 +108,8 @@ let repair (ctx : Ctx.t) =
   in
   let quarantine gid =
     zero_page_meta gid;
-    poke (Layout.page_kind lay ~gid) q_kind;
-    a.quar <- a.quar + 1
+    poke (Layout.page_kind lay ~gid) (Config.kind_quarantined cfg);
+    incr quar
   in
   (* An in-use header whose meta word cannot describe an object of this
      page's class is torn: clear it to "free block, empty meta" — the
@@ -147,113 +126,79 @@ let repair (ctx : Ctx.t) =
     Obj_header.pack_meta ~kind ~emb_cnt:0
       ~data_words:(bw - Config.header_words)
   in
-  for s = 0 to ns - 1 do
-    if not (huge_seg s) then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg:s ~page:p in
-        let k = page_kind gid in
-        let bw = peek (Layout.page_block_words lay ~gid) in
-        let cap = peek (Layout.page_capacity lay ~gid) in
-        if k = Config.kind_unused || k = q_kind then begin
+  Walk.iter_pages mem lay (fun ~gid k ->
+      let bw = peek (Layout.page_block_words lay ~gid) in
+      let cap = peek (Layout.page_capacity lay ~gid) in
+      let geometry_ok ebw = bw = ebw && cap = cfg.Config.page_words / ebw in
+      match k with
+      | Walk.Unused | Walk.Quarantined ->
           if bw <> 0 || cap <> 0 || peek (Layout.page_free lay ~gid) <> 0
           then begin
             (* torn Page.init/reset: kind is published last, so a non-zero
                remainder under an unused kind is half-written garbage *)
             zero_page_meta gid;
-            a.pmeta <- a.pmeta + 1
+            incr pmeta
           end
+      | Walk.Class c when geometry_ok (Config.class_block_words cfg c) ->
+          let kind = Config.kind_of_class c in
+          List.iter
+            (fun b ->
+              if Obj_header.ref_cnt_of (peek b) > 0
+                 && not (plausible_meta ~kind ~bw (peek (b + 1)))
+              then begin
+                poke b 0;
+                poke (b + 1) (empty_meta ~kind ~bw);
+                incr torn
+              end)
+            (Walk.page_blocks mem lay ~gid)
+      | Walk.Rootrefs when geometry_ok Config.rootref_words ->
+          (* RootRef state words only carry {in_use, local_cnt}; stray bits
+             mean a torn store landed *)
+          List.iter
+            (fun b ->
+              if Rootref.peek_in_use mem b && not (Rootref.well_formed (peek b))
+              then begin
+                poke b 0;
+                poke (b + 1) 0;
+                incr torn
+              end)
+            (Walk.page_blocks mem lay ~gid)
+      | Walk.Class _ | Walk.Rootrefs | Walk.Huge | Walk.Junk _ ->
+          (* geometry disagrees with the kind, a huge kind outside a huge
+             segment, or junk *)
+          quarantine gid);
+  Walk.iter_segments mem lay (fun s role ->
+      if role = Walk.Huge_head then begin
+        let obj = Walk.huge_obj lay s in
+        if Obj_header.ref_cnt_of (peek obj) > 0
+           && Obj_header.meta_kind (peek (Obj_header.meta_of_obj obj))
+              <> Config.kind_huge cfg
+        then begin
+          poke obj 0;
+          (* left at count 0: the mark pass frees the whole run *)
+          incr torn
+        end;
+        (* Re-anchor the head page's span word to the run the segment
+           states actually describe — a run half-released by a crashed
+           [free_huge] shrinks here — then hold the true length (page_aux2)
+           to that span and to the packed meta field. *)
+        let gid0 = Layout.page_gid lay ~seg:s ~page:0 in
+        let span = Walk.huge_span mem lay s in
+        if peek (Layout.page_aux lay ~gid:gid0) <> span then begin
+          poke (Layout.page_aux lay ~gid:gid0) span;
+          incr pmeta
+        end;
+        if
+          peek (Layout.page_aux2 lay ~gid:gid0) = 0
+          || not (Walk.huge_length_ok mem lay s)
+        then begin
+          let max_dw = Walk.huge_max_data_words lay ~span in
+          let meta_dw = Obj_header.meta_data_words (peek (Obj_header.meta_of_obj obj)) in
+          poke (Layout.page_aux2 lay ~gid:gid0)
+            (if meta_dw >= 1 && meta_dw <= max_dw then meta_dw else max_dw);
+          incr pmeta
         end
-        else begin
-          let expect_bw =
-            if k = rr_kind then Some Config.rootref_words
-            else
-              match Config.class_of_kind cfg k with
-              | Some c -> Some (Config.class_block_words cfg c)
-              | None -> None (* huge kind outside a huge segment, or junk *)
-          in
-          match expect_bw with
-          | None -> quarantine gid
-          | Some ebw ->
-              if bw <> ebw || cap <> cfg.Config.page_words / ebw then
-                quarantine gid
-              else if k <> rr_kind then begin
-                let base = Layout.page_area lay ~gid in
-                for i = 0 to cap - 1 do
-                  let b = base + (i * bw) in
-                  if Obj_header.ref_cnt_of (peek b) > 0
-                     && not (plausible_meta ~kind:k ~bw (peek (b + 1)))
-                  then begin
-                    poke b 0;
-                    poke (b + 1) (empty_meta ~kind:k ~bw);
-                    a.torn <- a.torn + 1
-                  end
-                done
-              end
-              else begin
-                (* RootRef state words only carry {in_use, local_cnt};
-                   stray bits mean a torn store landed *)
-                let base = Layout.page_area lay ~gid in
-                for i = 0 to cap - 1 do
-                  let b = base + (i * bw) in
-                  if
-                    Rootref.peek_in_use mem b
-                    && not (Rootref.well_formed (peek b))
-                  then begin
-                    poke b 0;
-                    poke (b + 1) 0;
-                    a.torn <- a.torn + 1
-                  end
-                done
-              end
-        end
-      done
-    else if huge_head s then begin
-      let obj = huge_obj s in
-      if Obj_header.ref_cnt_of (peek obj) > 0
-         && Obj_header.meta_kind (peek (Obj_header.meta_of_obj obj))
-            <> huge_kind
-      then begin
-        poke obj 0;
-        (* left at count 0: the mark pass frees the whole run *)
-        a.torn <- a.torn + 1
-      end;
-      (* Cross-check the head page's span and true-length words against the
-         run the segment states actually describe. [span] counts the head
-         plus its consecutive Huge_cont segments — a run half-released by a
-         crashed [free_huge] shrinks here, so the span word is re-anchored
-         to what is still claimable — and the true length (page_aux2) must
-         fit span × segment_words and agree with the packed meta field
-         whenever that field is wide enough to hold it. *)
-      let gid0 = Layout.page_gid lay ~seg:s ~page:0 in
-      let rec count k =
-        if s + k < ns && seg_state (s + k) = 5 then count (k + 1) else k
-      in
-      let span = count 1 in
-      if peek (Layout.page_aux lay ~gid:gid0) <> span then begin
-        poke (Layout.page_aux lay ~gid:gid0) span;
-        a.pmeta <- a.pmeta + 1
-      end;
-      let max_dw =
-        lay.Layout.segment_words - lay.Layout.seg_hdr_words
-        + ((span - 1) * lay.Layout.segment_words)
-        - Config.header_words
-      in
-      let meta_dw =
-        Obj_header.meta_data_words (peek (Obj_header.meta_of_obj obj))
-      in
-      let truth = peek (Layout.page_aux2 lay ~gid:gid0) in
-      let truth_ok =
-        truth >= 1 && truth <= max_dw
-        && (truth = meta_dw
-           || (meta_dw = Obj_header.max_meta_data_words && truth >= meta_dw))
-      in
-      if not truth_ok then begin
-        poke (Layout.page_aux2 lay ~gid:gid0)
-          (if meta_dw >= 1 && meta_dw <= max_dw then meta_dw else max_dw);
-        a.pmeta <- a.pmeta + 1
-      end
-    end
-  done;
+      end);
 
   (* ---- pass 1.5: trace-ring integrity ----
      Checked before the recovery sweep because the sweep itself may append
@@ -261,32 +206,16 @@ let repair (ctx : Ctx.t) =
      negative cursor or an undecodable published slot has been hit by the
      same damage the other passes repair; the events are forensics, not
      invariants, so the whole ring is simply zeroed. *)
-  let slots = cfg.Config.trace_slots in
   for cid = 0 to cfg.Config.max_clients - 1 do
-    let cur = peek (Layout.trace_cursor lay cid) in
-    let window = if cur < 0 then 0 else min cur slots in
-    let bad = ref (cur < 0) in
-    for k = 0 to window - 1 do
-      let n = cur - 1 - k in
-      let slot = Layout.trace_slot lay cid (n mod slots) in
-      let tag = peek slot in
-      if
-        tag < 0
-        || tag >= Cxlshm_shmem.Histogram.num_ops * 4
-        || tag land 3 > 2
-        || peek (slot + 3) < 0
-        || peek (slot + 4) < 0
-      then bad := true
-    done;
-    if !bad then begin
+    if not (Trace.ring_ok mem lay ~cid) then begin
       poke (Layout.trace_cursor lay cid) 0;
-      for k = 0 to slots - 1 do
+      for k = 0 to cfg.Config.trace_slots - 1 do
         let slot = Layout.trace_slot lay cid k in
         for w = 0 to Layout.trace_slot_words - 1 do
           poke (slot + w) 0
         done
       done;
-      a.rings <- a.rings + 1
+      incr rings
     end
   done;
 
@@ -298,19 +227,19 @@ let repair (ctx : Ctx.t) =
   in
   (try ignore (Recovery.resume_interrupted ctx)
    with _ ->
-     a.swerr <- a.swerr + 1;
+     incr swerr;
      force_unlock ());
   for cid = 0 to cfg.Config.max_clients - 1 do
     if Client.status ctx ~cid <> Client.Slot_free then begin
       Client.declare_failed ctx ~cid;
       try
         ignore (Recovery.recover ctx ~failed_cid:cid);
-        a.swept <- a.swept + 1
+        incr swept
       with _ ->
         (* recovery choked on damage it was never designed for; the later
            structural passes still run, so just make the client slot and
            the lock sane and move on *)
-        a.swerr <- a.swerr + 1;
+        incr swerr;
         Client.mark_recovered ctx ~cid;
         force_unlock ()
     end
@@ -319,267 +248,130 @@ let repair (ctx : Ctx.t) =
   (* ---- pass 2.7: adoption journal and park registries ----
      The sweep above recovered every recorded client, which moved each
      parked-record registry into the adoption journal; any registry
-     residue left now is damage, as is a journal entry whose rootref no
-     longer lives, a claim naming a freed client, or a duplicated rr.
-     Valid journal entries are preserved — their rootrefs keep the parked
-     records alive through the mark pass and a future successor can still
-     adopt them. *)
-  let rootref_ok rr =
-    rr > 0 && rr < lay.Layout.total_words
-    && (match Layout.page_gid_of_addr lay rr with
-       | exception Invalid_argument _ -> false
-       | gid ->
-           page_kind gid = rr_kind
-           && (rr - Layout.page_area lay ~gid) mod Config.rootref_words = 0)
-  in
-  for cid = 0 to cfg.Config.max_clients - 1 do
-    if Client.status ctx ~cid = Client.Slot_free then
-      for k = 0 to Layout.park_capacity lay - 1 do
-        if
-          peek (Layout.park_slot_rr lay cid k) <> 0
-          || peek (Layout.park_slot_stamp lay cid k) <> 0
-        then begin
-          poke (Layout.park_slot_rr lay cid k) 0;
-          poke (Layout.park_slot_stamp lay cid k) 0;
-          a.adopt <- a.adopt + 1
-        end
-      done
-  done;
-  let journaled : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  for i = 0 to Layout.adopt_capacity lay - 1 do
-    let rr_slot = Layout.adopt_slot_rr lay i in
-    let claim_slot = Layout.adopt_slot_claim lay i in
-    let clear_slot () =
-      poke rr_slot 0;
-      poke (Layout.adopt_slot_stamp lay i) 0;
-      poke claim_slot 0;
-      a.adopt <- a.adopt + 1
-    in
-    let rr = peek rr_slot in
-    if rr <> 0 then begin
-      if
-        not
-          (rootref_ok rr
-          && Rootref.peek_in_use mem rr
-          && Rootref.peek_obj mem rr <> 0)
-        || Hashtbl.mem journaled rr
-      then clear_slot ()
-      else Hashtbl.replace journaled rr ()
-    end
-    else if peek (Layout.adopt_slot_stamp lay i) <> 0 || peek claim_slot <> 0
-    then clear_slot ();
-    let claim = peek claim_slot in
-    if
-      claim <> 0
-      && (claim < 0
-         || claim > cfg.Config.max_clients
-         || Client.status ctx ~cid:(claim - 1) = Client.Slot_free)
-    then begin
-      poke claim_slot 0;
-      a.adopt <- a.adopt + 1
-    end
-  done;
+     residue left now is damage. An entry [Walk] finds a fault in is
+     cleared (its claim alone when only the claim is bad), as is the stamp
+     or claim of an empty slot. Sound journal entries are preserved —
+     their rootrefs keep the parked records alive through the mark pass
+     and a future successor can still adopt them. *)
+  Walk.iter_parked mem lay (fun ~cid k ~rr faults ->
+      if rr = 0 || faults <> [] then
+        clear adopt [ Layout.park_slot_rr lay cid k; Layout.park_slot_stamp lay cid k ]);
+  Walk.iter_journal mem lay (fun i ~rr faults ->
+      let claim = Layout.adopt_slot_claim lay i in
+      if rr = 0 || List.exists (function Walk.Bad_claim _ -> false | _ -> true) faults
+      then clear adopt [ Layout.adopt_slot_rr lay i; Layout.adopt_slot_stamp lay i; claim ]
+      else if faults <> [] then clear adopt [ claim ]);
 
   (* ---- pass 3: mark from durable roots ---- *)
-  let block_base_ok p =
-    if p <= 0 || p >= lay.Layout.total_words then false
-    else
-      match Layout.segment_of_addr lay p with
-      | exception Invalid_argument _ -> false
-      | seg ->
-          if huge_seg seg then p = huge_obj seg
-          else (
-            match Layout.page_gid_of_addr lay p with
-            | exception Invalid_argument _ -> false
-            | gid ->
-                let bw = peek (Layout.page_block_words lay ~gid) in
-                let base = Layout.page_area lay ~gid in
-                let k = page_kind gid in
-                k <> Config.kind_unused && k <> rr_kind && k <> q_kind
-                && bw > 0
-                && (p - base) mod bw = 0
-                && (p - base) / bw < peek (Layout.page_capacity lay ~gid))
+  (* Wild references are cleared at their holder (a dead client's
+     RootRefs were already dropped by the recovery sweep; what is left is
+     either a ghost we keep as a holder — harmless — or damage). *)
+  let valid = Walk.block_base_ok mem lay in
+  wild := !wild + Transfer.clear_wild_directory_refs mem lay ~valid;
+  wild := !wild + Named_roots.clear_wild_directory_refs mem lay ~valid;
+  let expected =
+    Walk.reach mem lay (Walk.roots mem lay) ~on_wild:(fun h _ ->
+        incr wild;
+        match h with
+        | Walk.From_rootref rr ->
+            poke rr 0;
+            poke (rr + 1) 0
+        | Walk.From_slot (obj, i) -> poke (Obj_header.emb_slot obj i) 0
+        | Walk.From_queue_directory | Walk.From_named_root -> ())
   in
-  let expected : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let work = Queue.create () in
-  let add_ref obj =
-    let seen = try Hashtbl.find expected obj with Not_found -> 0 in
-    Hashtbl.replace expected obj (seen + 1);
-    if seen = 0 then Queue.push obj work
-  in
-  (* RootRefs pointing at valid blocks are holders; wild ones are cleared.
-     (A dead client's RootRefs were already dropped by the recovery sweep;
-     what is left is either a ghost we keep as a holder — harmless — or
-     damage we clear here.) *)
-  for s = 0 to ns - 1 do
-    if not (huge_seg s) then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg:s ~page:p in
-        if page_kind gid = rr_kind then begin
-          let bw = peek (Layout.page_block_words lay ~gid) in
-          let cap = peek (Layout.page_capacity lay ~gid) in
-          let base = Layout.page_area lay ~gid in
-          for i = 0 to cap - 1 do
-            let rr = base + (i * bw) in
-            if Rootref.peek_in_use mem rr then begin
-              let obj = Rootref.peek_obj mem rr in
-              if obj <> 0 then
-                if block_base_ok obj then add_ref obj
-                else begin
-                  poke rr 0;
-                  poke (rr + 1) 0;
-                  a.wild <- a.wild + 1
-                end
-            end
-          done
-        end
-      done
-  done;
-  a.wild <-
-    a.wild + Transfer.clear_wild_directory_refs mem lay ~valid:block_base_ok;
-  a.wild <-
-    a.wild + Named_roots.clear_wild_directory_refs mem lay ~valid:block_base_ok;
-  List.iter add_ref (Transfer.directory_refs mem lay);
-  List.iter add_ref (Named_roots.directory_refs mem lay);
-  while not (Queue.is_empty work) do
-    let obj = Queue.pop work in
-    let meta = peek (Obj_header.meta_of_obj obj) in
-    for i = 0 to Obj_header.meta_emb_cnt meta - 1 do
-      let child = peek (Obj_header.emb_slot obj i) in
-      if child <> 0 then
-        if block_base_ok child then add_ref child
-        else begin
-          poke (Obj_header.emb_slot obj i) 0;
-          a.wild <- a.wild + 1
-        end
-    done
-  done;
   (* Sweep: unreachable counted objects are freed, reachable ones get their
      count rewritten to the number of holders actually found. lcid/lera are
      reset to "never touched" — every transaction was resolved in pass 2. *)
-  let fix_count b =
-    let exp = try Hashtbl.find expected b with Not_found -> 0 in
+  let fix_count b exp =
     let hdr = peek b in
     let want =
       Obj_header.pack { Obj_header.lcid = None; lera = 0; ref_cnt = exp }
     in
     if hdr <> want then begin
       poke b want;
-      if Obj_header.ref_cnt_of hdr <> exp then a.counts <- a.counts + 1
+      if Obj_header.ref_cnt_of hdr <> exp then incr counts
     end
   in
+  (* A continuation's page metadata words held payload: wipe them along
+     with the head's before the segment goes back to the arena. *)
+  let wipe_release s =
+    List.iter
+      (fun gid ->
+        poke (Layout.page_kind lay ~gid) Config.kind_unused;
+        zero_page_meta gid)
+      (Walk.seg_pages lay s);
+    release_seg s
+  in
+  (* trust segment states, not the (possibly stuck) aux span word *)
   let release_huge_run head =
-    (* trust segment states, not the (possibly stuck) aux span word *)
-    let rec span k = if head + k < ns && seg_state (head + k) = 5 then span (k + 1) else k in
-    let n = span 1 in
-    for p = 0 to pps - 1 do
-      let gid = Layout.page_gid lay ~seg:head ~page:p in
-      poke (Layout.page_kind lay ~gid) Config.kind_unused;
-      zero_page_meta gid
-    done;
-    for k = n - 1 downto 0 do
-      poke (Layout.seg_state lay (head + k)) 0;
-      poke (Layout.seg_occupied lay (head + k)) 0
+    for k = Walk.huge_span mem lay head - 1 downto 0 do
+      wipe_release (head + k)
     done
   in
-  for s = 0 to ns - 1 do
-    if huge_head s then begin
-      let obj = huge_obj s in
-      if Hashtbl.mem expected obj then fix_count obj
-      else begin
-        if Obj_header.ref_cnt_of (peek obj) > 0 then a.freed <- a.freed + 1;
-        release_huge_run s
-      end
-    end
-    else if not (huge_seg s) then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg:s ~page:p in
-        (match Config.class_of_kind cfg (page_kind gid) with
-        | None -> ()
-        | Some _ ->
-            let bw = peek (Layout.page_block_words lay ~gid) in
-            let cap = peek (Layout.page_capacity lay ~gid) in
-            let base = Layout.page_area lay ~gid in
-            for i = 0 to cap - 1 do
-              let b = base + (i * bw) in
-              if Hashtbl.mem expected b then fix_count b
-              else if Obj_header.ref_cnt_of (peek b) > 0 then begin
-                poke b 0;
-                poke (b + 1) (empty_meta ~kind:(page_kind gid) ~bw);
-                a.freed <- a.freed + 1
-              end
-            done)
-      done
-  done;
+  Walk.iter_blocks mem lay (fun ~seg k b ->
+      match (Hashtbl.find_opt expected b, k) with
+      | Some exp, (Walk.Huge | Walk.Class _) -> fix_count b exp
+      | None, Walk.Huge ->
+          if Obj_header.ref_cnt_of (peek b) > 0 then incr freed;
+          release_huge_run seg
+      | None, Walk.Class _ ->
+          (* pass 4 chains the now-dead block and clears the rest of it *)
+          if Obj_header.ref_cnt_of (peek b) > 0 then begin
+            poke b 0;
+            incr freed
+          end
+      | _, (Walk.Unused | Walk.Rootrefs | Walk.Quarantined | Walk.Junk _) -> ());
   (* a released huge run may leave cont segments whose head was damaged
      away; release them too (ascending order heals chains) *)
-  for s = 0 to ns - 1 do
-    if seg_state s = 5 && (s = 0 || not (huge_seg (s - 1))) then begin
-      poke (Layout.seg_state lay s) 0;
-      poke (Layout.seg_occupied lay s) 0;
-      a.segf <- a.segf + 1
-    end
-  done;
+  Walk.iter_segments mem lay (fun s role ->
+      if role = Walk.Huge_cont && (s = 0 || Walk.role mem lay (s - 1) = Walk.Plain)
+      then begin
+        wipe_release s;
+        incr segf
+      end);
 
   (* ---- pass 4: rebuild free structures from liveness ---- *)
-  for s = 0 to ns - 1 do
-    if peek (Layout.seg_client_free lay s) <> 0 then begin
-      poke (Layout.seg_client_free lay s) 0;
-      a.stacks <- a.stacks + 1
-    end
-  done;
+  Walk.iter_segments mem lay (fun s _ -> clear stacks [ Layout.seg_client_free lay s ]);
   (* Domain shard stacks are rebuilt the same way as the cross-client
      stacks: drop them wholesale — every dead block re-enters its page
      chain below, and the stamps that made parked entries stealable are
      cleared there too, so nothing keeps pinning segments. *)
   for d = 0 to cfg.Config.num_domains - 1 do
     for c = 0 to Config.num_classes cfg - 1 do
-      if peek (Layout.domain_class_head lay d c) <> 0 then begin
-        poke (Layout.domain_class_head lay d c) 0;
-        a.stacks <- a.stacks + 1
-      end
+      clear stacks [ Layout.domain_class_head lay d c ]
     done
   done;
-  for s = 0 to ns - 1 do
-    if not (huge_seg s) then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg:s ~page:p in
-        let k = page_kind gid in
-        let is_rr = k = rr_kind in
-        if is_rr || Config.class_of_kind cfg k <> None then begin
-          let bw = peek (Layout.page_block_words lay ~gid) in
-          let cap = peek (Layout.page_capacity lay ~gid) in
-          let base = Layout.page_area lay ~gid in
+  Walk.iter_pages mem lay (fun ~gid k ->
+      let is_rr = k = Walk.Rootrefs in
+      match k with
+      | Walk.Rootrefs | Walk.Class _ ->
           let off = Page.next_slot_offset ~kind_rootref:is_rr in
-          let live b =
-            if is_rr then Rootref.peek_in_use mem b
-            else Obj_header.ref_cnt_of (peek b) > 0
-          in
           let old_head = peek (Layout.page_free lay ~gid) in
           let old_used = peek (Layout.page_used lay ~gid) in
-          let head = ref 0 and nfree = ref 0 in
-          for i = cap - 1 downto 0 do
-            let b = base + (i * bw) in
-            if not (live b) then begin
-              poke b 0;
-              if not is_rr then begin
-                poke (b + 1) 0;
-                (* A stale shard stamp on a dead block would pin the
-                   segment against the §5.3 scan forever. *)
-                poke (Shard.stamp_slot b) 0
-              end;
-              poke (b + off) !head;
-              head := b;
-              incr nfree
-            end
-          done;
-          poke (Layout.page_free lay ~gid) !head;
-          poke (Layout.page_used lay ~gid) (cap - !nfree);
-          if old_head <> !head || old_used <> cap - !nfree then
-            a.chains <- a.chains + 1
-        end
-      done
-  done;
+          let blocks = Walk.page_blocks mem lay ~gid in
+          (* dead blocks chained in address order, rebuilt from the top *)
+          let head, nfree =
+            List.fold_right
+              (fun b (head, nfree) ->
+                if Walk.live mem k b then (head, nfree)
+                else begin
+                  poke b 0;
+                  if not is_rr then begin
+                    poke (b + 1) 0;
+                    (* A stale shard stamp on a dead block would pin the
+                       segment against the §5.3 scan forever. *)
+                    poke (Shard.stamp_slot b) 0
+                  end;
+                  poke (b + off) head;
+                  (b, nfree + 1)
+                end)
+              blocks (0, 0)
+          in
+          let used = List.length blocks - nfree in
+          poke (Layout.page_free lay ~gid) head;
+          poke (Layout.page_used lay ~gid) used;
+          if old_head <> head || old_used <> used then incr chains
+      | Walk.Unused | Walk.Huge | Walk.Quarantined | Walk.Junk _ -> ());
   for cid = 0 to cfg.Config.max_clients - 1 do
     Redo_log.clear_for ctx ~cid;
     (* Retirement journals refer to rootrefs the rebuild above may have
@@ -590,20 +382,20 @@ let repair (ctx : Ctx.t) =
 
   (* ---- pass 5: leak scan, then the verdict ---- *)
   (try ignore (Reclaim.scan_all ctx ~is_client_alive:(fun _ -> false))
-   with _ -> a.swerr <- a.swerr + 1);
+   with _ -> incr swerr);
   {
-    seg_meta_fixed = a.segf;
-    pages_quarantined = a.quar;
-    page_meta_fixed = a.pmeta;
-    torn_headers_cleared = a.torn;
-    clients_swept = a.swept;
-    sweep_errors = a.swerr;
-    wild_refs_cleared = a.wild;
-    unreachable_freed = a.freed;
-    counts_fixed = a.counts;
-    chains_rebuilt = a.chains;
-    stacks_cleared = a.stacks;
-    trace_rings_reset = a.rings;
-    adopt_fixed = a.adopt;
+    seg_meta_fixed = !segf;
+    pages_quarantined = !quar;
+    page_meta_fixed = !pmeta;
+    torn_headers_cleared = !torn;
+    clients_swept = !swept;
+    sweep_errors = !swerr;
+    wild_refs_cleared = !wild;
+    unreachable_freed = !freed;
+    counts_fixed = !counts;
+    chains_rebuilt = !chains;
+    stacks_cleared = !stacks;
+    trace_rings_reset = !rings;
+    adopt_fixed = !adopt;
     validation = Validate.run mem lay;
   }

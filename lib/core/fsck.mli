@@ -43,11 +43,6 @@ val clean : report -> bool
 
 val pp : Format.formatter -> report -> unit
 
-val check : Cxlshm_shmem.Mem.t -> Layout.t -> Validate.t
-(** Read-only verification (alias of {!Validate.run}): use before
-    {!repair} to decide whether repair is needed, and to show that a
-    damaged arena indeed fails. *)
-
 val repair : Ctx.t -> report
 (** Full verify-and-repair pipeline on a quiesced arena. [ctx] should be a
     service context (its stats absorb the repair traffic). Idempotent: a

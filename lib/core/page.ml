@@ -56,20 +56,21 @@ let init (ctx : Ctx.t) ~gid ~kind:k ~block_words:bw =
   (* kind is published last: kind <> unused implies the chain is complete. *)
   set_kind ctx ~gid k
 
+let wipe (ctx : Ctx.t) ~gid =
+  set_kind ctx ~gid Config.kind_unused;
+  Ctx.fence ctx;
+  set_free_head ctx ~gid 0;
+  set_used ctx ~gid 0;
+  Ctx.store_pm ctx ~gid ~slot:2 (Layout.page_capacity ctx.lay ~gid) 0;
+  Ctx.store_pm ctx ~gid ~slot:1 (Layout.page_block_words ctx.lay ~gid) 0;
+  Ctx.store ctx (Layout.page_aux ctx.lay ~gid) 0;
+  Ctx.store ctx (Layout.page_aux2 ctx.lay ~gid) 0
+
 let reset (ctx : Ctx.t) ~gid =
   (* A quarantined page records bad media, not allocation state: the mark
      survives segment recycling so the page never re-enters service. Its
      other metadata is already zeroed. *)
-  if kind ctx ~gid <> Config.kind_quarantined (Ctx.cfg ctx) then begin
-    set_kind ctx ~gid Config.kind_unused;
-    Ctx.fence ctx;
-    set_free_head ctx ~gid 0;
-    set_used ctx ~gid 0;
-    Ctx.store_pm ctx ~gid ~slot:2 (Layout.page_capacity ctx.lay ~gid) 0;
-    Ctx.store_pm ctx ~gid ~slot:1 (Layout.page_block_words ctx.lay ~gid) 0;
-    Ctx.store ctx (Layout.page_aux ctx.lay ~gid) 0;
-    Ctx.store ctx (Layout.page_aux2 ctx.lay ~gid) 0
-  end
+  if kind ctx ~gid <> Config.kind_quarantined (Ctx.cfg ctx) then wipe ctx ~gid
 
 let pop_free (ctx : Ctx.t) ~gid ~rootref =
   let head = free_head ctx ~gid in

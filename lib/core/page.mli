@@ -17,7 +17,12 @@ val init : Ctx.t -> gid:int -> kind:int -> block_words:int -> unit
 (** Build the free chain and publish the page under [kind]. *)
 
 val reset : Ctx.t -> gid:int -> unit
-(** Return the page to [kind_unused] (recovery / segment recycling). *)
+(** Return the page to [kind_unused] (recovery / segment recycling). A
+    quarantined page keeps its mark. *)
+
+val wipe : Ctx.t -> gid:int -> unit
+(** Zero every metadata word of the page, whatever its kind word says — for
+    a huge continuation segment, whose page metadata words held payload. *)
 
 val kind : Ctx.t -> gid:int -> int
 val block_words : Ctx.t -> gid:int -> int

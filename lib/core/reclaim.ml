@@ -122,6 +122,14 @@ let page_all_zero (ctx : Ctx.t) ~gid =
         && not (Shard.pins ctx b))
       (Page.blocks ctx ~gid)
 
+let segment_empty (ctx : Ctx.t) seg =
+  let pps = (Ctx.cfg ctx).Config.pages_per_segment in
+  let rec go p =
+    p >= pps
+    || (page_all_zero ctx ~gid:(Layout.page_gid ctx.lay ~seg ~page:p) && go (p + 1))
+  in
+  go 0
+
 let recycle_plain_segment (ctx : Ctx.t) seg =
   let pps = (Ctx.cfg ctx).Config.pages_per_segment in
   for p = 0 to pps - 1 do
@@ -153,7 +161,7 @@ let scan_segment (ctx : Ctx.t) seg =
           s < cfg.Config.num_segments
           && Segment.state ctx s = Segment.Huge_cont
           && Segment.owner ctx s = owner0
-        then Segment.release ctx s
+        then Alloc.release_huge_cont ctx s
       done;
       for p = 0 to pps - 1 do
         Page.reset ctx ~gid:(Layout.page_gid ctx.lay ~seg ~page:p)
@@ -163,18 +171,11 @@ let scan_segment (ctx : Ctx.t) seg =
     end
     else false
   end
-  else begin
-    let all_zero = ref true in
-    for p = 0 to pps - 1 do
-      if not (page_all_zero ctx ~gid:(Layout.page_gid ctx.lay ~seg ~page:p))
-      then all_zero := false
-    done;
-    if !all_zero then begin
-      recycle_plain_segment ctx seg;
-      true
-    end
-    else false
+  else if segment_empty ctx seg then begin
+    recycle_plain_segment ctx seg;
+    true
   end
+  else false
 
 let scan_all (ctx : Ctx.t) ~is_client_alive =
   Trace.with_span ctx Cxlshm_shmem.Histogram.Recovery_scan @@ fun () ->

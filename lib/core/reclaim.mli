@@ -44,6 +44,16 @@ val teardown_children : Ctx.t -> as_cid:int -> obj:Cxlshm_shmem.Pptr.t -> unit
 val mark_leaking_of : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
 (** Mark the segment containing [obj] POTENTIAL_LEAKING (idempotent). *)
 
+val segment_empty : Ctx.t -> int -> bool
+(** No live block, no in-use RootRef, no shard-parked stamp anywhere in the
+    plain segment — it can be reset and released. Stops at the first page
+    that holds one. The rule of {!scan_segment}, recovery's segment phase
+    and the RPC channel-revocation path. *)
+
+val recycle_plain_segment : Ctx.t -> int -> unit
+(** Reset every page of a plain segment, then {!Segment.release} it. The
+    caller must have established that the segment is empty. *)
+
 val scan_segment : Ctx.t -> int -> bool
 (** §5.3 asynchronous segment-local full scan: if every block of the
     segment has reference count zero (computed positions — pages are carved

@@ -567,30 +567,6 @@ let scan_rootref_pages (ctx : Ctx.t) ~cid report =
 (* Phase 5: segments                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let segment_empty (ctx : Ctx.t) seg =
-  let cfg = Ctx.cfg ctx in
-  let rec go p =
-    if p >= cfg.Config.pages_per_segment then true
-    else
-      let gid = Layout.page_gid ctx.Ctx.lay ~seg ~page:p in
-      let k = Page.kind ctx ~gid in
-      (k = Config.kind_unused
-      ||
-      if k = Config.kind_rootref cfg then
-        List.for_all (fun rr -> not (Rootref.in_use ctx rr)) (Page.blocks ctx ~gid)
-      else
-        (* A dead block parked on a domain shard stack pins the segment
-           (same rule as [Reclaim.page_all_zero]): releasing would reset
-           the page under a stealable stack entry. *)
-        List.for_all
-          (fun b ->
-            Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj b)) = 0
-            && not (Shard.pins ctx b))
-          (Page.blocks ctx ~gid))
-      && go (p + 1)
-  in
-  go 0
-
 let handle_segments (ctx : Ctx.t) ~cid report =
   let cfg = Ctx.cfg ctx in
   let handle_huge_head seg =
@@ -629,13 +605,10 @@ let handle_segments (ctx : Ctx.t) ~cid report =
           handle_huge_head seg
       | Segment.Active | Segment.Leaking | Segment.Orphaned ->
           if
-            segment_empty ctx seg
+            Reclaim.segment_empty ctx seg
             && not (Transfer.seg_held_by_live_peer ctx ~seg ~dead_cid:cid)
           then begin
-            for p = 0 to cfg.Config.pages_per_segment - 1 do
-              Page.reset ctx ~gid:(Layout.page_gid ctx.Ctx.lay ~seg ~page:p)
-            done;
-            Segment.release ctx seg;
+            Reclaim.recycle_plain_segment ctx seg;
             report :=
               { !report with segments_released = !report.segments_released + 1 }
           end

@@ -52,12 +52,6 @@ val mutation_crash_reap : bool ref
     the bounded-exhaustive crash-then-recover search must observe the
     resulting use-after-free. *)
 
-val segment_empty : Ctx.t -> int -> bool
-(** No live block, no in-use RootRef, no shard-parked stamp anywhere in the
-    segment — it can be reset and released. Used by [handle_segments] and by
-    the RPC channel-revocation path to return an emptied sub-heap segment to
-    the arena. *)
-
 val adopt_pending : Ctx.t -> int
 (** Number of occupied adoption-journal slots (awaiting a successor or the
     drain). *)

@@ -16,6 +16,9 @@ type state =
 
 val state_name : state -> string
 
+val state_of_word : int -> state option
+(** Decode a state word; [None] for a word no state encodes. *)
+
 val owner : Ctx.t -> int -> int option
 (** Occupying client id of segment [s], if any. *)
 

@@ -19,7 +19,7 @@ module Word = Cxlshm_shmem.Word
 
    - while a dead block carries its stamp, the §5.3 leak scan refuses to
      recycle its segment ([pins] below, consulted by
-     [Reclaim.page_all_zero]) — so a stack entry's page kind and geometry
+     [Reclaim.segment_empty]) — so a stack entry's page kind and geometry
      can never change under it, and steals from segments of dead or
      departed owners are safe;
    - the stamp survives the pop: the allocator writes the object header

@@ -113,6 +113,21 @@ let dump mem lay ~cid ?last () =
     !out
   end
 
+let ring_ok mem lay ~cid =
+  let slots = lay.Layout.cfg.Config.trace_slots in
+  let peek = Mem.unsafe_peek mem in
+  let cur = peek (Layout.trace_cursor lay cid) in
+  let rec published_ok k =
+    k >= min cur slots
+    ||
+    let slot = Layout.trace_slot lay cid ((cur - 1 - k) mod slots) in
+    decode_tag (peek slot) <> None
+    && peek (slot + 3) >= 0
+    && peek (slot + 4) >= 0
+    && published_ok (k + 1)
+  in
+  cur >= 0 && published_ok 0
+
 let pp_event ppf e =
   Format.fprintf ppf "#%-6d %-13s %-5s addr=%-8d era=%-4d dur=%6dns t=%dns"
     e.seq (Histogram.op_name e.op) (phase_name e.phase) e.addr e.era e.dur_ns

@@ -57,4 +57,9 @@ val dump :
     the most recent [k]. Reads with control-plane loads, so it works on
     dead clients and damaged images. *)
 
+val ring_ok : Cxlshm_shmem.Mem.t -> Layout.t -> cid:int -> bool
+(** Is client [cid]'s cursor non-negative and does every published slot
+    decode, with non-negative duration and clock? A ring that fails has
+    been hit by media damage; {!Fsck} zeroes it. *)
+
 val pp_event : Format.formatter -> event -> unit

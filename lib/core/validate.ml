@@ -24,388 +24,149 @@ let pp ppf t =
     t.live_objects t.live_rootrefs t.free_blocks t.pending_scan t.leaks t.double_frees
     t.wild_pointers t.count_mismatches
 
-type acc = {
-  mutable live : int;
-  mutable live_rr : int;
-  mutable free : int;
-  mutable pending : int;
-  mutable leak : int;
-  mutable dfree : int;
-  mutable wild : int;
-  mutable mism : int;
-  mutable errs : string list;
-}
-
-let err acc fmt = Printf.ksprintf (fun s -> acc.errs <- s :: acc.errs) fmt
-
-(* Is [p] the base of a block we could legally reference? Pure metadata
-   peeks — never follows [p] — so it is safe to ask about arbitrary (even
-   hostile) words; the RPC validation walk relies on exactly that. *)
-let block_base_ok mem lay p =
-  let peek = Mem.unsafe_peek mem in
-  let cfg = lay.Layout.cfg in
-  let rr_kind = Config.kind_rootref cfg in
-  let huge_kind = Config.kind_huge cfg in
-  let page_kind gid = peek (Layout.page_kind lay ~gid) in
-  if p <= 0 || p >= lay.Layout.total_words then false
-  else
-    match Layout.segment_of_addr lay p with
-    | exception Invalid_argument _ -> false
-    | seg -> (
-        let st = peek (Layout.seg_state lay seg) in
-        if st = 4 (* huge head *) || st = 5 (* huge cont *)
-           || page_kind (Layout.page_gid lay ~seg ~page:0) = huge_kind
-        then p = Layout.segment_base lay seg + lay.Layout.seg_hdr_words
-        else
-          match Layout.page_gid_of_addr lay p with
-          | exception Invalid_argument _ -> false
-          | gid ->
-              let bw = peek (Layout.page_block_words lay ~gid) in
-              let base = Layout.page_area lay ~gid in
-              page_kind gid <> Config.kind_unused
-              && page_kind gid <> rr_kind
-              && bw > 0
-              && (p - base) mod bw = 0
-              && (p - base) / bw < peek (Layout.page_capacity lay ~gid))
+(* Head words of the Treiber free stacks pack a tag above the pointer. *)
+let f_ptr = Word.field ~shift:0 ~bits:46
 
 let run mem lay =
   let cfg = lay.Layout.cfg in
   let peek = Mem.unsafe_peek mem in
-  let acc =
-    { live = 0; live_rr = 0; free = 0; pending = 0; leak = 0; dfree = 0; wild = 0;
-      mism = 0; errs = [] }
+  let live = ref 0 and live_rr = ref 0 and free = ref 0 and pending = ref 0 in
+  let leak = ref 0 and dfree = ref 0 and wild = ref 0 and mism = ref 0 in
+  let errs = ref [] in
+  (* Count one failure against [counter] and record its detail. *)
+  let flag counter fmt =
+    incr counter;
+    Printf.ksprintf (fun s -> errs := s :: !errs) fmt
   in
-  let rr_kind = Config.kind_rootref cfg in
-  let huge_kind = Config.kind_huge cfg in
-  let pps = cfg.Config.pages_per_segment in
-
-  (* ---- enumerate initialised pages and their blocks ---- *)
-  let page_kind gid = peek (Layout.page_kind lay ~gid) in
-  let page_blocks gid =
-    let bw = peek (Layout.page_block_words lay ~gid) in
-    let cap = peek (Layout.page_capacity lay ~gid) in
-    let base = Layout.page_area lay ~gid in
-    if bw = 0 then []
-    else List.init cap (fun i -> base + (i * bw))
-  in
-  let seg_state s = peek (Layout.seg_state lay s) in
-  let seg_owner s =
-    let v = peek (Layout.seg_occupied lay s) in
-    if v = 0 then None else Some (v - 1)
-  in
-  (* 1 = Alive, 3 = Suspected: a suspected client may still be rescued by
-     its own heartbeat, so its segments are not scan-pending. *)
-  let client_alive c =
-    let f = peek (Layout.client_flags lay c) in
-    f = 1 || f = 3
-  in
-
-  (* Is [p] the base of a block we could legally reference? *)
-  let block_base_ok p = block_base_ok mem lay p in
 
   (* ---- collect reference holders ---- *)
-  let expected : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let holders : (int, string list) Hashtbl.t = Hashtbl.create 256 in
-  let add_ref ~from obj =
-    if not (block_base_ok obj) then begin
-      acc.wild <- acc.wild + 1;
-      err acc "wild pointer @%d held by %s" obj from
-    end
-    else begin
-      Hashtbl.replace expected obj
-        (1 + (try Hashtbl.find expected obj with Not_found -> 0));
-      Hashtbl.replace holders obj
-        (from :: (try Hashtbl.find holders obj with Not_found -> []))
-    end
+  let holders =
+    Walk.holders mem lay ~on_wild:(fun h p ->
+        flag wild "wild pointer @%d held by %s" p (Walk.holder_name h))
   in
-
-  (* RootRefs *)
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    for p = 0 to pps - 1 do
-      let gid = Layout.page_gid lay ~seg ~page:p in
-      if page_kind gid = rr_kind then
-        List.iter
-          (fun rr ->
-            if Rootref.peek_in_use mem rr then begin
-              let obj = Rootref.peek_obj mem rr in
-              if obj <> 0 then
-                add_ref ~from:(Printf.sprintf "rootref@%d" rr) obj
-            end)
-          (page_blocks gid)
-    done
-  done;
-  (* Queue directory *)
-  List.iter
-    (fun qptr -> add_ref ~from:"queue-directory" qptr)
-    (Transfer.directory_refs mem lay);
-  (* Named persistent roots *)
-  List.iter
-    (fun p -> add_ref ~from:"named-root" p)
-    (Named_roots.directory_refs mem lay);
-  (* Embedded references of live blocks (incl. huge objects). *)
-  let scan_live_obj obj =
-    let meta = peek (Obj_header.meta_of_obj obj) in
-    let emb = Obj_header.meta_emb_cnt meta in
-    for i = 0 to emb - 1 do
-      let child = peek (Obj_header.emb_slot obj i) in
-      if child <> 0 then
-        add_ref ~from:(Printf.sprintf "emb@%d[%d]" obj i) child
-    done
-  in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    let st = seg_state seg in
-    if st = 4 || page_kind (Layout.page_gid lay ~seg ~page:0) = huge_kind then begin
-      let obj = Layout.segment_base lay seg + lay.Layout.seg_hdr_words in
-      if Obj_header.ref_cnt_of (peek obj) > 0 then scan_live_obj obj
-    end
-    else if st <> 5 then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg ~page:p in
-        let k = page_kind gid in
-        if k <> Config.kind_unused && k <> rr_kind && k <> huge_kind then
-          List.iter
-            (fun b -> if Obj_header.ref_cnt_of (peek b) > 0 then scan_live_obj b)
-            (page_blocks gid)
-      done
-  done;
 
   (* ---- free structures ---- *)
+  (* Walk one intrusive list from [p], its next word at [p + off]. [fuel]
+     bounds a cycle; with [overrun] running out of it is itself a fault (a
+     page chain cannot outgrow its capacity). [ok] vets an entry before it
+     is counted or followed. *)
   let free_set : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let add_free b where =
-    if Hashtbl.mem free_set b then begin
-      acc.dfree <- acc.dfree + 1;
-      err acc "block @%d appears twice in free structures (%s)" b where
-    end
-    else Hashtbl.replace free_set b ()
+  let rec chain ~where ~off ?(overrun = false) ?(ok = fun _ -> true) p fuel =
+    if p <> 0 then
+      if fuel = 0 then begin
+        if overrun then flag dfree "%s longer than capacity (cycle?)" where
+      end
+      else if ok p then begin
+        if Hashtbl.mem free_set p then
+          flag dfree "block @%d appears twice in free structures (%s)" p where
+        else Hashtbl.replace free_set p ();
+        chain ~where ~off ~overrun ~ok (peek (p + off)) (fuel - 1)
+      end
   in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    let st = seg_state seg in
-    if st <> 4 && st <> 5 then begin
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg ~page:p in
-        let k = page_kind gid in
-        if k <> Config.kind_unused && k <> huge_kind then begin
-          let off = Page.next_slot_offset ~kind_rootref:(k = rr_kind) in
-          let cap = peek (Layout.page_capacity lay ~gid) in
-          let rec walk p fuel =
-            if p <> 0 then
-              if fuel = 0 then begin
-                acc.dfree <- acc.dfree + 1;
-                err acc "free chain of page %d longer than capacity (cycle?)" gid
-              end
-              else begin
-                add_free p (Printf.sprintf "page %d free chain" gid);
-                walk (peek (p + off)) (fuel - 1)
-              end
-          in
-          walk (peek (Layout.page_free lay ~gid)) (cap + 1)
-        end
-      done;
-      (* cross-client stack *)
-      let f_ptr = Word.field ~shift:0 ~bits:46 in
-      let rec walk p fuel =
-        if p <> 0 && fuel > 0 then begin
-          add_free p (Printf.sprintf "segment %d client_free" seg);
-          walk (peek (p + Config.header_words)) (fuel - 1)
-        end
-      in
-      walk (Word.get f_ptr (peek (Layout.seg_client_free lay seg))) 10_000
-    end
-  done;
+  Walk.iter_pages mem lay (fun ~gid k ->
+      if k <> Walk.Unused && k <> Walk.Huge then
+        chain ~overrun:true
+          ~where:(Printf.sprintf "page %d free chain" gid)
+          ~off:(Page.next_slot_offset ~kind_rootref:(k = Walk.Rootrefs))
+          (peek (Layout.page_free lay ~gid))
+          (peek (Layout.page_capacity lay ~gid) + 1));
+  (* cross-client stacks *)
+  Walk.iter_segments mem lay (fun seg role ->
+      if role = Walk.Plain then
+        chain
+          ~where:(Printf.sprintf "segment %d client_free" seg)
+          ~off:Config.header_words
+          (Word.get f_ptr (peek (Layout.seg_client_free lay seg)))
+          10_000);
 
   (* ---- domain shard stacks ---- *)
   (* Parked entries are free blocks too. On-stack implies stamped (the
      stamp store precedes the head CAS and nothing unstamps a linked
      entry), so a stamp or kind mismatch is a real inconsistency — and
      the entry's next pointer can no longer be trusted, so stop there. *)
-  if cfg.Config.num_domains > 0 then begin
-    let f_ptr = Word.field ~shift:0 ~bits:46 in
-    for d = 0 to cfg.Config.num_domains - 1 do
-      for c = 0 to Config.num_classes cfg - 1 do
-        let rec walk p fuel =
-          if p <> 0 && fuel > 0 then
-            if peek (Shard.stamp_slot p) <> Shard.stamp_of p then begin
-              acc.dfree <- acc.dfree + 1;
-              err acc "shard stack d%d/c%d: entry @%d bad stamp" d c p
-            end
-            else if page_kind (Layout.page_gid_of_addr lay p)
-                    <> Config.kind_of_class c
-            then begin
-              acc.dfree <- acc.dfree + 1;
-              err acc "shard stack d%d/c%d: entry @%d wrong class" d c p
-            end
-            else begin
-              add_free p (Printf.sprintf "shard stack d%d/c%d" d c);
-              walk (peek (p + Config.header_words)) (fuel - 1)
-            end
-        in
-        walk
-          (Word.get f_ptr (peek (Layout.domain_class_head lay d c)))
-          10_000
-      done
+  for d = 0 to cfg.Config.num_domains - 1 do
+    for c = 0 to Config.num_classes cfg - 1 do
+      let ok p =
+        if peek (Shard.stamp_slot p) <> Shard.stamp_of p then begin
+          flag dfree "shard stack d%d/c%d: entry @%d bad stamp" d c p;
+          false
+        end
+        else if
+          Walk.page_kind mem lay ~gid:(Layout.page_gid_of_addr lay p) <> Walk.Class c
+        then begin
+          flag dfree "shard stack d%d/c%d: entry @%d wrong class" d c p;
+          false
+        end
+        else true
+      in
+      chain ~ok
+        ~where:(Printf.sprintf "shard stack d%d/c%d" d c)
+        ~off:Config.header_words
+        (Word.get f_ptr (peek (Layout.domain_class_head lay d c)))
+        10_000
     done
-  end;
+  done;
 
   (* ---- parked-record registries and the adoption journal ---- *)
   (* Both structures hold rootrefs (the rootref page scan above already
-     counted them as object holders); here we check the structures
-     themselves: an occupied entry must name a live rootref with a target,
-     a journal claim must name a possible client, and no rootref may be
-     journaled twice. *)
-  let rootref_ok rr =
-    rr > 0 && rr < lay.Layout.total_words
-    && (match Layout.page_gid_of_addr lay rr with
-       | exception Invalid_argument _ -> false
-       | gid ->
-           page_kind gid = rr_kind
-           && (rr - Layout.page_area lay ~gid) mod Config.rootref_words = 0)
+     counted them as object holders); here the entries themselves are
+     checked against {!Walk}'s rule for them. *)
+  let flag_entry where rr = function
+    | Walk.Dead_rootref -> flag wild "%s: rr @%d is not a live rootref" where rr
+    | Walk.Freed_owner ->
+        flag mism "%s: entry @%d outlived its freed client slot" where rr
+    | Walk.No_target -> flag mism "%s: rr @%d parks no object" where rr
+    | Walk.Journaled_at j -> flag dfree "%s: rr @%d already journaled at [%d]" where rr j
+    | Walk.Bad_claim c -> flag mism "%s: claim %d names no recorded client" where c
   in
-  for c = 0 to cfg.Config.max_clients - 1 do
-    for k = 0 to Layout.park_capacity lay - 1 do
-      let rr = peek (Layout.park_slot_rr lay c k) in
-      if rr <> 0 then
-        if not (rootref_ok rr && Rootref.peek_in_use mem rr) then begin
-          acc.wild <- acc.wild + 1;
-          err acc "park registry c%d[%d]: rr @%d is not a live rootref" c k rr
-        end
-        else if peek (Layout.client_flags lay c) = 0 then begin
-          acc.mism <- acc.mism + 1;
-          err acc
-            "park registry c%d[%d]: entry @%d outlived its freed client \
-             slot (recovery should have journaled it)"
-            c k rr
-        end
-    done
-  done;
-  let journaled : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  for i = 0 to Layout.adopt_capacity lay - 1 do
-    let rr = peek (Layout.adopt_slot_rr lay i) in
-    let claim = peek (Layout.adopt_slot_claim lay i) in
-    if claim < 0 || claim > cfg.Config.max_clients then begin
-      acc.mism <- acc.mism + 1;
-      err acc "adoption journal [%d]: claim %d names no possible client" i
-        claim
-    end;
-    if rr <> 0 then
-      if not (rootref_ok rr && Rootref.peek_in_use mem rr) then begin
-        acc.wild <- acc.wild + 1;
-        err acc "adoption journal [%d]: rr @%d is not a live rootref" i rr
-      end
-      else begin
-        (match Hashtbl.find_opt journaled rr with
-        | Some j ->
-            acc.dfree <- acc.dfree + 1;
-            err acc "adoption journal [%d]: rr @%d already journaled at [%d]"
-              i rr j
-        | None -> Hashtbl.replace journaled rr i);
-        if Rootref.peek_obj mem rr = 0 then begin
-          acc.mism <- acc.mism + 1;
-          err acc "adoption journal [%d]: rr @%d parks no object" i rr
-        end
-      end
-  done;
+  Walk.iter_parked mem lay (fun ~cid k ~rr ->
+      List.iter (flag_entry (Printf.sprintf "park registry c%d[%d]" cid k) rr));
+  Walk.iter_journal mem lay (fun i ~rr ->
+      List.iter (flag_entry (Printf.sprintf "adoption journal [%d]" i) rr));
 
   (* ---- classify every block ---- *)
+  (* A suspected client may still be rescued by its own heartbeat, so its
+     segments are not scan-pending. *)
   let scan_pending seg =
-    let st = seg_state seg in
-    st = 2 || st = 3
-    || (match seg_owner seg with Some c -> not (client_alive c) | None -> false)
+    (match Walk.seg_state mem lay seg with
+    | Some (Segment.Orphaned | Segment.Leaking) -> true
+    | _ -> false)
+    ||
+    let occ = peek (Layout.seg_occupied lay seg) in
+    occ <> 0
+    &&
+    match Client.status_of_word (peek (Layout.client_flags lay (occ - 1))) with
+    | Some (Client.Alive | Client.Suspected) -> false
+    | _ -> true
   in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    let st = seg_state seg in
-    if st = 4 || page_kind (Layout.page_gid lay ~seg ~page:0) = huge_kind then begin
-      let obj = Layout.segment_base lay seg + lay.Layout.seg_hdr_words in
-      let cnt = Obj_header.ref_cnt_of (peek obj) in
-      if cnt > 0 then begin
-        acc.live <- acc.live + 1;
-        let exp = try Hashtbl.find expected obj with Not_found -> 0 in
-        if cnt <> exp then begin
-          acc.mism <- acc.mism + 1;
-          err acc "huge object @%d: count %d but %d holders" obj cnt exp
-        end;
-        (* The head page's true-length word must agree with the packed
-           meta field — which saturates at [Obj_header.max_meta_data_words]
-           — and fit inside the claimed run. 0 is a legal pre-aux2 image. *)
-        let gid0 = Layout.page_gid lay ~seg ~page:0 in
-        let span = max 1 (peek (Layout.page_aux lay ~gid:gid0)) in
-        let truth = peek (Layout.page_aux2 lay ~gid:gid0) in
-        let meta_dw =
-          Obj_header.meta_data_words (peek (Obj_header.meta_of_obj obj))
-        in
-        let max_dw =
-          lay.Layout.segment_words - lay.Layout.seg_hdr_words
-          + ((span - 1) * lay.Layout.segment_words)
-          - Config.header_words
-        in
-        let truth_ok =
-          truth = 0
-          || (truth >= 1 && truth <= max_dw
-             && (truth = meta_dw
-                || (meta_dw = Obj_header.max_meta_data_words
-                   && truth >= meta_dw)))
-        in
-        if not truth_ok then begin
-          acc.mism <- acc.mism + 1;
-          err acc "huge object @%d: true length %d disagrees with meta %d"
-            obj truth meta_dw
-        end
+  Walk.iter_blocks mem lay (fun ~seg k b ->
+      let is_live = Walk.live mem k b in
+      let in_free = Hashtbl.mem free_set b in
+      if is_live && in_free then flag dfree "block @%d is both live and free" b
+      else if is_live && k = Walk.Rootrefs then incr live_rr
+      else if is_live then begin
+        incr live;
+        let cnt = Obj_header.ref_cnt_of (peek b) in
+        let hs = Option.value (Hashtbl.find_opt holders b) ~default:[] in
+        if cnt <> List.length hs then
+          flag mism "object @%d: count %d but %d holders (%s)" b cnt
+            (List.length hs)
+            (String.concat ", " (List.map Walk.holder_name hs));
+        if k = Walk.Huge && not (Walk.huge_length_ok mem lay seg) then
+          flag mism "huge object @%d: true length disagrees with its meta word" b
       end
-      else if scan_pending seg then acc.pending <- acc.pending + 1
-      else begin
-        acc.leak <- acc.leak + 1;
-        err acc "huge object @%d: count 0, not pending any scan" obj
-      end
-    end
-    else if st <> 5 then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg ~page:p in
-        let k = page_kind gid in
-        if k <> Config.kind_unused && k <> huge_kind then
-          List.iter
-            (fun b ->
-              let is_rr = k = rr_kind in
-              let live =
-                if is_rr then Rootref.peek_in_use mem b
-                else Obj_header.ref_cnt_of (peek b) > 0
-              in
-              let in_free = Hashtbl.mem free_set b in
-              if live && in_free then begin
-                acc.dfree <- acc.dfree + 1;
-                err acc "block @%d is both live and free" b
-              end
-              else if live then begin
-                if is_rr then acc.live_rr <- acc.live_rr + 1
-                else acc.live <- acc.live + 1;
-                if not is_rr then begin
-                  let cnt = Obj_header.ref_cnt_of (peek b) in
-                  let exp = try Hashtbl.find expected b with Not_found -> 0 in
-                  if cnt <> exp then begin
-                    acc.mism <- acc.mism + 1;
-                    err acc "object @%d: count %d but %d holders (%s)" b cnt exp
-                      (String.concat ", "
-                         (try Hashtbl.find holders b with Not_found -> []))
-                  end
-                end
-              end
-              else if in_free then acc.free <- acc.free + 1
-              else if scan_pending seg then acc.pending <- acc.pending + 1
-              else begin
-                acc.leak <- acc.leak + 1;
-                err acc "block @%d: count 0, off-list, segment %d not pending"
-                  b seg
-              end)
-            (page_blocks gid)
-      done
-  done;
+      else if in_free then incr free
+      else if scan_pending seg then incr pending
+      else flag leak "block @%d: count 0, off-list, segment %d not pending" b seg);
 
   {
-    live_objects = acc.live;
-    live_rootrefs = acc.live_rr;
-    free_blocks = acc.free;
-    pending_scan = acc.pending;
-    leaks = acc.leak;
-    double_frees = acc.dfree;
-    wild_pointers = acc.wild;
-    count_mismatches = acc.mism;
-    errors = List.rev acc.errs;
+    live_objects = !live;
+    live_rootrefs = !live_rr;
+    free_blocks = !free;
+    pending_scan = !pending;
+    leaks = !leak;
+    double_frees = !dfree;
+    wild_pointers = !wild;
+    count_mismatches = !mism;
+    errors = List.rev !errs;
   }

@@ -16,7 +16,9 @@
     - {b pending}: count-zero off-list blocks that {e are} covered by a
       pending scan (allowed by design, §5.3).
 
-    Run only on a quiesced arena (no in-flight operations). *)
+    Blocks, holders and the wild-pointer rule come from {!Walk}; the free
+    chains, cross-client stacks and shard stacks are walked here. Run only
+    on a quiesced arena (no in-flight operations). *)
 
 type t = {
   live_objects : int;  (** live CXLObjs (count > 0) *)
@@ -33,12 +35,3 @@ type t = {
 val run : Cxlshm_shmem.Mem.t -> Layout.t -> t
 val is_clean : t -> bool
 val pp : Format.formatter -> t -> unit
-
-val block_base_ok : Cxlshm_shmem.Mem.t -> Layout.t -> int -> bool
-(** Is [p] the base of a block a reference could legally name? Pure
-    metadata peeks — range, segment/page bounds, initialised non-rootref
-    page kind, block alignment, huge-head special case — and never a
-    dereference of [p] itself, so it is safe to ask about arbitrary or
-    hostile words. The RPC receive-side validation walk
-    ({!Cxlshm_rpc.Cxl_rpc}) uses it to vet embedded pointers before
-    touching them. *)

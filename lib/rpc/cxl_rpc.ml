@@ -277,7 +277,7 @@ let peer_owned (s : server) addr =
 (* The RPCool receive-side walk: every reference the message closure can
    reach must be the base of a live block inside the channel's sub-heap.
    Discipline: a node's embedded slots are read only after the node itself
-   passed {!Validate.block_base_ok} (pure metadata peeks), so a hostile
+   passed {!Walk.block_base_ok} (pure metadata peeks), so a hostile
    word is never dereferenced. Wild slots are collected so disposal can
    neutralise them before any teardown walk would chase them. *)
 let validate_message (s : server) msg_obj =
@@ -297,7 +297,7 @@ let validate_message (s : server) msg_obj =
         let slot = Obj_header.emb_slot obj i in
         let w = Ctx.load ctx slot in
         if w <> 0 then
-          if not (Validate.block_base_ok mem lay w) then begin
+          if not (Walk.block_base_ok mem lay w) then begin
             (* Not the base of any live block: following it would be a wild
                dereference. Record the slot for neutralisation. *)
             ok := false;
@@ -316,7 +316,7 @@ let validate_message (s : server) msg_obj =
       done
     end
   in
-  if not (Validate.block_base_ok mem lay msg_obj && in_channel lay s.chan msg_obj)
+  if not (Walk.block_base_ok mem lay msg_obj && in_channel lay s.chan msg_obj)
   then (false, [])
   else begin
     walk msg_obj 0;
@@ -375,7 +375,7 @@ let serve_until s ~handler ~stop =
 (* Return emptied sub-heap segments to the arena. Era-safe: batched
    retirements are flushed first so dead channel blocks actually reach
    count zero, and only provably empty segments (no live block, no in-use
-   RootRef, no shard stamp — {!Recovery.segment_empty}) are reset. A
+   RootRef, no shard stamp — {!Reclaim.segment_empty}) are reset. A
    segment something still references (an undrained in-flight message, a
    caller-retained output) simply stays claimed until those references
    die. *)
@@ -385,14 +385,8 @@ let release_sub_heap (ctx : Ctx.t) segs =
     (fun seg ->
       if
         Segment.owner ctx seg = Some ctx.Ctx.cid
-        && Recovery.segment_empty ctx seg
-      then begin
-        let pps = (Ctx.cfg ctx).Config.pages_per_segment in
-        for p = 0 to pps - 1 do
-          Page.reset ctx ~gid:(Layout.page_gid ctx.Ctx.lay ~seg ~page:p)
-        done;
-        Segment.release ctx seg
-      end)
+        && Reclaim.segment_empty ctx seg
+      then Reclaim.recycle_plain_segment ctx seg)
     segs
 
 let close_client c =

@@ -14,7 +14,7 @@ let check_clean arena label =
   Alcotest.(check bool)
     (label ^ " validate: " ^ String.concat "; " v.Validate.errors)
     true (Validate.is_clean v);
-  let f = Fsck.check (Shm.mem arena) (Shm.layout arena) in
+  let f = Validate.run (Shm.mem arena) (Shm.layout arena) in
   Alcotest.(check bool)
     (label ^ " fsck: " ^ String.concat "; " f.Validate.errors)
     true (Validate.is_clean f)

@@ -10,7 +10,7 @@ module Mem = Cxlshm_shmem.Mem
 
 let mem_lay arena = (Shm.mem arena, Shm.layout arena)
 
-let check_clean arena = Validate.is_clean (Fsck.check (Shm.mem arena) (Shm.layout arena))
+let check_clean arena = Validate.is_clean (Validate.run (Shm.mem arena) (Shm.layout arena))
 
 let repair arena = Shm.fsck arena
 

@@ -70,6 +70,55 @@ let test_gc_traces_through_queues_and_roots () =
   Transfer.close q;
   Transfer.close qb
 
+(* Marking follows only words that name a block: an embedded word past the
+   end of the arena, or into a segment header, is neither marked nor read
+   through, and no live object is collected because of it. *)
+let test_gc_skips_wild_embedded_words () =
+  let arena, a = setup () in
+  let mem = Shm.mem arena and lay = Shm.layout arena in
+  let far = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+  let inside = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+  let set r w = Cxlshm_shmem.Mem.unsafe_poke mem (Obj_header.emb_slot (Cxl_ref.obj r) 0) w in
+  set far (lay.Layout.total_words + 6);
+  set inside (Layout.segment_base lay 0 + 2);
+  let r = Cycle_gc.collect (Shm.service_ctx arena) in
+  Alcotest.(check int) "only the two real objects marked" 2 r.Cycle_gc.marked;
+  Alcotest.(check int) "nothing collected" 0 r.Cycle_gc.collected;
+  set far 0;
+  set inside 0;
+  List.iter Cxl_ref.drop [ far; inside ];
+  Alloc.collect_deferred a;
+  Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena))
+
+(* A huge object's payload covers its continuation segments' header words.
+   Payload that reads there like a head page of kind Huge holding a counted
+   object must not make the continuation look like a second huge head:
+   collection would free segments from the middle of the live object. *)
+let test_gc_keeps_huge_with_header_like_payload () =
+  let arena, a = setup () in
+  let lay = Shm.layout arena in
+  let words = lay.Layout.segment_words + 500 in
+  let r = Shm.cxl_malloc_words a ~data_words:words () in
+  let data = Obj_header.data_of_obj (Cxl_ref.obj r) in
+  let cont = Layout.segment_of_addr lay (Cxl_ref.obj r) + 1 in
+  let put addr w = Cxl_ref.write_word r (addr - data) w in
+  put (Layout.page_kind lay ~gid:(Layout.page_gid lay ~seg:cont ~page:0))
+    (Config.kind_huge Config.small);
+  put
+    (Layout.segment_base lay cont + lay.Layout.seg_hdr_words)
+    (Obj_header.pack { Obj_header.lcid = None; lera = 0; ref_cnt = 1 });
+  Cxl_ref.write_word r (words - 1) 4242;
+  let v = Shm.validate arena in
+  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
+    (Validate.is_clean v);
+  let r' = Cycle_gc.collect (Shm.service_ctx arena) in
+  Alcotest.(check int) "nothing collected" 0 r'.Cycle_gc.collected;
+  Alcotest.(check int) "tail intact" 4242 (Cxl_ref.read_word r (words - 1));
+  Alcotest.(check bool) "clean after gc" true (Validate.is_clean (Shm.validate arena));
+  Cxl_ref.drop r;
+  Alloc.collect_deferred a;
+  Alcotest.(check bool) "clean after drop" true (Validate.is_clean (Shm.validate arena))
+
 let prop_gc_never_touches_reachable =
   QCheck.Test.make ~name:"gc never collects reachable objects" ~count:25
     QCheck.(pair (int_bound 1000) (int_bound 10))
@@ -154,6 +203,9 @@ let suite =
     Alcotest.test_case "cycle leaks without gc" `Quick test_cycle_leaks_without_gc;
     Alcotest.test_case "gc collects cycle" `Quick test_gc_collects_cycle;
     Alcotest.test_case "gc roots: queues + named" `Quick test_gc_traces_through_queues_and_roots;
+    Alcotest.test_case "gc skips wild embedded words" `Quick test_gc_skips_wild_embedded_words;
+    Alcotest.test_case "gc keeps huge with header-like payload" `Quick
+      test_gc_keeps_huge_with_header_like_payload;
     Generators.to_alcotest prop_gc_never_touches_reachable;
     Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
     Alcotest.test_case "load reaps stale clients" `Quick test_load_reaps_stale_clients;

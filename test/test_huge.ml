@@ -140,7 +140,7 @@ let test_true_length_beyond_meta () =
   Cxl_ref.drop r;
   Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena))
 
-(* Validate (and so Fsck.check) cross-checks the true-length slot against
+(* Validate cross-checks the true-length slot against
    the packed meta word and the claimed run. *)
 let test_crosscheck_true_length () =
   let arena, a, _ = setup () in
@@ -154,10 +154,10 @@ let test_crosscheck_true_length () =
   Alcotest.(check int) "slot records the request" words truth;
   Mem.unsafe_poke mem aux2 3;
   Alcotest.(check bool) "fsck flags the lie" false
-    (Validate.is_clean (Fsck.check mem lay));
+    (Validate.is_clean (Validate.run mem lay));
   Mem.unsafe_poke mem aux2 truth;
   Alcotest.(check bool) "clean once restored" true
-    (Validate.is_clean (Fsck.check mem lay));
+    (Validate.is_clean (Validate.run mem lay));
   Cxl_ref.drop r
 
 (* The offline repairer re-derives a sane length from the packed meta
@@ -205,7 +205,7 @@ let crash_free_huge point () =
   Alcotest.(check bool) "validate clean" true
     (Validate.is_clean (Shm.validate arena));
   Alcotest.(check bool) "fsck clean" true
-    (Validate.is_clean (Fsck.check (Shm.mem arena) (Shm.layout arena)))
+    (Validate.is_clean (Validate.run (Shm.mem arena) (Shm.layout arena)))
 
 (* Same half-freed run, but no targeted recovery: the offline repairer
    alone must finish releasing it. *)
@@ -225,6 +225,29 @@ let test_fsck_finishes_half_freed_run () =
   Alcotest.(check bool) "repair verdict clean" true (Fsck.clean rep);
   Alcotest.(check int) "half-freed run fully released" before
     (Shm.free_segments arena)
+
+(* Regression: a continuation segment's page metadata words are payload,
+   and free_huge used to release the segment as it was, so its next
+   claimant read the payload as a carved size-class page (here one whose
+   free chain points past the arena). Released continuations now come back
+   with their page metadata wiped. *)
+let test_freed_continuation_is_wiped () =
+  let arena, a, _ = setup () in
+  let lay = Shm.layout arena in
+  let words = lay.Layout.segment_words + 500 in
+  let r = Shm.cxl_malloc_words a ~data_words:words () in
+  let data = Obj_header.data_of_obj (Cxl_ref.obj r) in
+  let cont = Layout.segment_of_addr lay (Cxl_ref.obj r) + 1 in
+  let gid = Layout.page_gid lay ~seg:cont ~page:1 in
+  let put addr w = Cxl_ref.write_word r (addr - data) w in
+  put (Layout.page_kind lay ~gid) (Config.kind_of_class 0);
+  put (Layout.page_block_words lay ~gid) (Config.class_block_words cfg 0);
+  put (Layout.page_capacity lay ~gid) 32;
+  put (Layout.page_free lay ~gid) (lay.Layout.total_words + 3);
+  Cxl_ref.drop r;
+  let objs = List.init 300 (fun _ -> Shm.cxl_malloc a ~size_bytes:8 ()) in
+  Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena));
+  List.iter Cxl_ref.drop objs
 
 (* ---- degraded-device placement (claim-order bug) ---- *)
 
@@ -321,7 +344,7 @@ let prop_roundtrip backend name =
       List.iter Cxl_ref.drop !held;
       Shm.free_segments arena = before
       && Validate.is_clean (Shm.validate arena)
-      && Validate.is_clean (Fsck.check (Shm.mem arena) (Shm.layout arena)))
+      && Validate.is_clean (Validate.run (Shm.mem arena) (Shm.layout arena)))
 
 let prop_roundtrip_flat = prop_roundtrip Mem.Flat "huge roundtrips (flat)"
 
@@ -350,6 +373,8 @@ let suite =
       (crash_free_huge Fault.Free_huge_after_reset);
     Alcotest.test_case "fsck finishes a half-freed run" `Quick
       test_fsck_finishes_half_freed_run;
+    Alcotest.test_case "freed continuation is wiped" `Quick
+      test_freed_continuation_is_wiped;
     Alcotest.test_case "huge run avoids degraded device" `Quick
       test_huge_run_avoids_degraded_device;
     Alcotest.test_case "free windows under the schedule explorer" `Quick
