@@ -386,32 +386,6 @@ let recover_journal (ctx : Ctx.t) ~cid report =
    stamps intact, for a live successor to adopt ([Cxl_kv.adopt_recovered])
    or for the monitor to drain once all announced eras have passed. *)
 
-let journal_holds (ctx : Ctx.t) rr =
-  let lay = ctx.Ctx.lay in
-  let rec go k =
-    k < Layout.adopt_capacity lay
-    && (Ctx.load ctx (Layout.adopt_slot_rr lay k) = rr || go (k + 1))
-  in
-  go 0
-
-(* Append {rr, stamp} to the adoption journal. The rr word is the commit
-   point: stamp and a zero claim are fenced first, so a crash mid-append
-   leaves a free (rr = 0) slot. Returns [false] when the journal is full. *)
-let journal_append (ctx : Ctx.t) ~stamp rr =
-  let lay = ctx.Ctx.lay in
-  let rec go k =
-    if k >= Layout.adopt_capacity lay then false
-    else if Ctx.load ctx (Layout.adopt_slot_rr lay k) = 0 then begin
-      Ctx.store ctx (Layout.adopt_slot_stamp lay k) stamp;
-      Ctx.store ctx (Layout.adopt_slot_claim lay k) 0;
-      Ctx.fence ctx;
-      Ctx.store ctx (Layout.adopt_slot_rr lay k) rr;
-      true
-    end
-    else go (k + 1)
-  in
-  go 0
-
 let adopt_pending (ctx : Ctx.t) =
   let lay = ctx.Ctx.lay in
   let n = ref 0 in
@@ -439,36 +413,93 @@ let adoption_holds (ctx : Ctx.t) =
   done;
   tbl
 
+(* [recover_parked] reads the adoption journal (rr + claim of every slot)
+   and the dead client's registry once, into volatile tables, and resolves
+   claims, de-duplicates and appends from that snapshot rather than
+   re-reading the journal per entry. The snapshot stays sound while it is
+   used:
+   - Only recovery appends to the journal, and it does so under the
+     recovery lock, so a slot free in the snapshot stays free until this
+     recovery fills it.
+   - A successor's [Cxl_kv.adopt_recovered] and the monitor's
+     [drain_adopt_journal] only clear slots, so a stale snapshot can only
+     treat a slot as taken after it was freed: an append lands in a later
+     slot, and a de-duplication hit means the entry was journaled (and
+     perhaps already adopted) — never that it is lost.
+   - The dead client's registry and the claims it holds (claim = cid + 1)
+     are frozen: it no longer runs, and no one else writes them. *)
+type journal_snapshot = {
+  j_rr : int array;  (** rr word of every slot; 0 = free *)
+  j_claim : int array;
+  j_holds : (int, unit) Hashtbl.t;  (** non-zero rr words, one binding per slot *)
+  mutable j_free : int;  (** no free slot below this index *)
+}
+
+let snapshot_journal (ctx : Ctx.t) =
+  let lay = ctx.Ctx.lay in
+  let n = Layout.adopt_capacity lay in
+  let j_rr = Array.make n 0 and j_claim = Array.make n 0 in
+  let j_holds = Hashtbl.create 16 in
+  for k = 0 to n - 1 do
+    let rr = Ctx.load ctx (Layout.adopt_slot_rr lay k) in
+    j_rr.(k) <- rr;
+    j_claim.(k) <- Ctx.load ctx (Layout.adopt_slot_claim lay k);
+    if rr <> 0 then Hashtbl.add j_holds rr ()
+  done;
+  { j_rr; j_claim; j_holds; j_free = 0 }
+
+(* Append {rr, stamp} to the adoption journal at the first slot free in the
+   snapshot. The rr word is the commit point: stamp and a zero claim are
+   fenced first, so a crash mid-append leaves a free (rr = 0) slot. Returns
+   [false] when the journal is full. *)
+let snapshot_append (ctx : Ctx.t) j ~stamp rr =
+  let lay = ctx.Ctx.lay in
+  let n = Array.length j.j_rr in
+  while j.j_free < n && j.j_rr.(j.j_free) <> 0 do
+    j.j_free <- j.j_free + 1
+  done;
+  if j.j_free >= n then false
+  else begin
+    let k = j.j_free in
+    Ctx.store ctx (Layout.adopt_slot_stamp lay k) stamp;
+    Ctx.store ctx (Layout.adopt_slot_claim lay k) 0;
+    Ctx.fence ctx;
+    Ctx.store ctx (Layout.adopt_slot_rr lay k) rr;
+    j.j_rr.(k) <- rr;
+    Hashtbl.add j.j_holds rr ();
+    true
+  end
+
 let recover_parked (ctx : Ctx.t) ~cid report =
   let lay = ctx.Ctx.lay in
+  let j = snapshot_journal ctx in
+  let registry =
+    Array.init (Layout.park_capacity lay) (fun k ->
+        Ctx.load ctx (Layout.park_slot_rr lay cid k))
+  in
   (* Resolve adoptions [cid] had in flight as a successor. If its registry
      already holds the journal entry's rr, the move committed — clear the
-     journal slot (the entry re-enters the journal from the registry scan
+     journal slot (the entry re-enters the journal from the registry pass
      below, stamp intact). Otherwise the claim is void: release it so
      another successor (or the drain) can take the entry. *)
-  let registry_has rr =
-    let rec go k =
-      k < Layout.park_capacity lay
-      && (Ctx.load ctx (Layout.park_slot_rr lay cid k) = rr || go (k + 1))
-    in
-    go 0
-  in
   for k = 0 to Layout.adopt_capacity lay - 1 do
-    if Ctx.load ctx (Layout.adopt_slot_claim lay k) = cid + 1 then begin
-      let rr = Ctx.load ctx (Layout.adopt_slot_rr lay k) in
-      if rr <> 0 && registry_has rr then begin
+    if j.j_claim.(k) = cid + 1 then begin
+      let rr = j.j_rr.(k) in
+      if rr <> 0 && Array.mem rr registry then begin
         Ctx.store ctx (Layout.adopt_slot_rr lay k) 0;
-        Ctx.store ctx (Layout.adopt_slot_stamp lay k) 0
+        Ctx.store ctx (Layout.adopt_slot_stamp lay k) 0;
+        j.j_rr.(k) <- 0;
+        Hashtbl.remove j.j_holds rr
       end;
       Ctx.store ctx (Layout.adopt_slot_claim lay k) 0
     end
   done;
   (* Move the dead client's registry into the journal, stamps intact. Each
      move is journal-then-clear so a crash in between leaves the entry in
-     both places; [journal_holds] makes the redo idempotent. *)
+     both places; the snapshot's [j_holds] makes the redo idempotent. *)
   for k = 0 to Layout.park_capacity lay - 1 do
     let rr_addr = Layout.park_slot_rr lay cid k in
-    let rr = Ctx.load ctx rr_addr in
+    let rr = registry.(k) in
     if rr <> 0 then
       if !mutation_crash_reap then begin
         (* Era-blind reap: free the parked record through the live eager
@@ -483,8 +514,8 @@ let recover_parked (ctx : Ctx.t) ~cid report =
       else if Rootref.in_use ctx rr && Rootref.obj ctx rr <> 0 then begin
         let stamp = Ctx.load ctx (Layout.park_slot_stamp lay cid k) in
         let journaled =
-          journal_holds ctx rr
-          || journal_append ctx ~stamp rr
+          Hashtbl.mem j.j_holds rr
+          || snapshot_append ctx j ~stamp rr
           ||
           (* Bounded journal: leave the entry registered to the dead
              client — leaked until a later recovery finds room, never

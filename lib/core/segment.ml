@@ -86,26 +86,22 @@ let orphan (ctx : Ctx.t) ~cid s =
 
 let mark_leaking (ctx : Ctx.t) s = set_state ctx s Leaking
 
-let find_free (ctx : Ctx.t) =
-  let n = (Ctx.cfg ctx).Config.num_segments in
-  let rec go s = if s >= n then None else if owner ctx s = None then Some s else go (s + 1) in
-  go 0
-
 let owned_by (ctx : Ctx.t) ~cid =
   (* The O(num_segments) shared scan is the price the cache tier removes:
      a client's own ownership set is served from the mirror once populated
      (claims/releases keep it current; [seg_occupied] for this client
      changes only under this client's CAS while it is alive). Queries about
-     *other* clients always scan shared memory. *)
+     *other* clients always scan shared memory. The scan ascends so each
+     load lands on the same or next line as the last and streams. *)
   if cid = ctx.Ctx.cid && Ctx.cache_owned_known ctx then
     Ctx.cache_owned_list ctx
   else begin
     let n = (Ctx.cfg ctx).Config.num_segments in
     let rec go s acc =
-      if s < 0 then acc
-      else go (s - 1) (if owner ctx s = Some cid then s :: acc else acc)
+      if s >= n then List.rev acc
+      else go (s + 1) (if owner ctx s = Some cid then s :: acc else acc)
     in
-    let segs = go (n - 1) [] in
+    let segs = go 0 [] in
     if cid = ctx.Ctx.cid then Ctx.cache_install_owned ctx segs;
     segs
   end

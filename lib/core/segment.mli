@@ -45,9 +45,6 @@ val mark_leaking : Ctx.t -> int -> unit
     distinguishable by setting them to [Leaking] as well (the scan uses page
     kinds to tell them apart). *)
 
-val find_free : Ctx.t -> int option
-(** Index of some currently free segment (no claim performed). *)
-
 val owned_by : Ctx.t -> cid:int -> int list
 (** All segments currently occupied by [cid]. *)
 

@@ -50,14 +50,16 @@ let partition_of_key store key = key mod store.partitions
    journal ({!Cxlshm.Recovery}), retire stamps intact, for a successor to
    adopt. One writing handle per client — the registry is per-cid. *)
 
+(* Ascending, so consecutive loads stay on the same or next line and
+   stream; the free list still comes out in ascending slot order. *)
 let scan_park_free (ctx : Ctx.t) =
   let lay = ctx.Ctx.lay in
   let cid = ctx.Ctx.cid in
   let free = ref [] in
-  for k = Layout.park_capacity lay - 1 downto 0 do
+  for k = 0 to Layout.park_capacity lay - 1 do
     if Ctx.load ctx (Layout.park_slot_rr lay cid k) = 0 then free := k :: !free
   done;
-  !free
+  List.rev !free
 
 let park_register h ~stamp rr =
   match h.park_free with

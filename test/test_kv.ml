@@ -803,6 +803,124 @@ let test_partial_handoff_era_pinned () =
   Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
     (Validate.is_clean v)
 
+module Stats = Cxlshm_shmem.Stats
+
+(* Joining charges what it touches, not what the tables could hold: the
+   join-time scans (the free park-registry slots, the cold owned-segment
+   set) walk in ascending address order, so after the first line every
+   load streams instead of paying a random miss. *)
+let test_join_scans_stream () =
+  let open_store_cost park_slots =
+    let cfg = { kv_cfg with Config.park_slots } in
+    let arena = Shm.create ~cfg () in
+    let a = Shm.join arena () in
+    let store, _h = Cxl_kv.create a ~buckets:16 ~partitions:1 ~value_words:1 in
+    let b = Shm.join arena () in
+    let before = Stats.copy b.Ctx.st in
+    let hb = Cxl_kv.open_store b store in
+    let cost = (Stats.diff b.Ctx.st before).Stats.rand_accesses in
+    (* the free list is ascending: a fresh writer parks into slots 0, 1, 2 *)
+    Alcotest.(check bool) "takeover" true (Cxl_kv.takeover_partition hb 0);
+    for k = 0 to 2 do
+      Cxl_kv.put hb ~key:k ~value:k
+    done;
+    let rctx = Shm.join arena () in
+    Hazard.enter rctx;
+    for k = 0 to 2 do
+      Cxl_kv.put_cow hb ~key:k ~value:(100 + k)
+    done;
+    let peek = Mem.unsafe_peek (Shm.mem arena) in
+    let lay = Shm.layout arena in
+    List.iter
+      (fun k ->
+        Alcotest.(check bool)
+          (Printf.sprintf "park_slots=%d: slot %d taken in order" park_slots k)
+          (k < 3)
+          (peek (Layout.park_slot_rr lay b.Ctx.cid k) <> 0))
+      [ 0; 1; 2; 3 ];
+    cost
+  in
+  let small = open_store_cost 16 and large = open_store_cost 4096 in
+  Alcotest.(check bool)
+    (Printf.sprintf "open_store random misses %d (16 slots) vs %d (4096)" small
+       large)
+    true
+    (abs (large - small) <= 2);
+  let cfg = { Config.small with Config.num_segments = 256; pages_per_segment = 1 } in
+  let arena = Shm.create ~cfg () in
+  let a = Shm.join arena () and other = Shm.join arena () in
+  (* two clients filling pages in turn, so [a]'s segments have holes *)
+  for _ = 1 to 4 do
+    List.iter
+      (fun c -> for _ = 1 to 64 do ignore (Alloc.alloc_rootref c) done)
+      [ a; other ]
+  done;
+  let svc = Shm.service_ctx arena in
+  let peek = Mem.unsafe_peek (Shm.mem arena) in
+  let lay = Shm.layout arena in
+  let expect =
+    List.filter
+      (fun s -> peek (Layout.seg_occupied lay s) = a.Ctx.cid + 1)
+      (List.init cfg.Config.num_segments Fun.id)
+  in
+  Alcotest.(check bool)
+    ("several segments: " ^ String.concat "," (List.map string_of_int expect))
+    true
+    (List.length expect > 2);
+  Alcotest.(check (list int)) "owned_by ascending" expect
+    (Segment.owned_by svc ~cid:a.Ctx.cid);
+  let b = Shm.join arena () in
+  let before = Stats.copy b.Ctx.st in
+  Alcotest.(check (list int)) "owns nothing" [] (Segment.owned_by b ~cid:b.Ctx.cid);
+  let d = Stats.diff b.Ctx.st before in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold owned_by: %d random misses over 256 segments"
+       d.Stats.rand_accesses)
+    true
+    (d.Stats.rand_accesses <= 1)
+
+(* Recovery reads the adoption journal once: each extra parked record costs
+   recovery its own handful of words, not another pass over the journal.
+   Both writers run the same 24 COW updates, so they carve the same pages;
+   they differ only in how many records are still parked when they die
+   (the rest were reclaimed before a reader pinned the era). *)
+let test_recovery_reads_journal_once () =
+  let nkeys = 24 in
+  let recover_cost nparked =
+    let cfg = { kv_cfg with Config.park_slots = 64; adopt_slots = 4096 } in
+    let arena = Shm.create ~cfg () in
+    let a = Shm.join arena () in
+    let _store, h = Cxl_kv.create a ~buckets:64 ~partitions:1 ~value_words:1 in
+    Alcotest.(check bool) "claim" true (Cxl_kv.claim_partition h 0);
+    for k = 0 to nkeys - 1 do
+      Cxl_kv.put h ~key:k ~value:k
+    done;
+    for k = nparked to nkeys - 1 do
+      Cxl_kv.put_cow h ~key:k ~value:(100 + k)
+    done;
+    Cxl_kv.quiesce h;
+    Alcotest.(check int) "unpinned parks reclaimed" 0 (Cxl_kv.deferred_count h);
+    let rctx = Shm.join arena () in
+    Hazard.enter rctx;
+    for k = 0 to nparked - 1 do
+      Cxl_kv.put_cow h ~key:k ~value:(100 + k)
+    done;
+    let svc = Shm.service_ctx arena in
+    Client.declare_failed svc ~cid:a.Ctx.cid;
+    let before = Stats.copy svc.Ctx.st in
+    let rep = Recovery.recover svc ~failed_cid:a.Ctx.cid in
+    let cost = Stats.total_accesses (Stats.diff svc.Ctx.st before) in
+    Alcotest.(check int) "all journaled" nparked rep.Recovery.parked_journaled;
+    Alcotest.(check int) "journal pending" nparked (Recovery.adopt_pending svc);
+    cost
+  in
+  let one = recover_cost 1 and many = recover_cost nkeys in
+  Alcotest.(check bool)
+    (Printf.sprintf "recovery accesses: %d (1 parked) vs %d (%d parked)" one
+       many nkeys)
+    true
+    (many - one < (nkeys - 1) * 64)
+
 let test_load_gen_schedule () =
   let g1 = Load_gen.create ~rate_mops:2.0 ~seed:11 in
   let g2 = Load_gen.create ~rate_mops:2.0 ~seed:11 in
@@ -884,6 +1002,10 @@ let suite =
       test_adoption_crash_windows;
     Alcotest.test_case "partial handoff keeps era pins" `Quick
       test_partial_handoff_era_pinned;
+    Alcotest.test_case "join scans stream in address order" `Quick
+      test_join_scans_stream;
+    Alcotest.test_case "recovery reads the journal once" `Quick
+      test_recovery_reads_journal_once;
     Alcotest.test_case "open-loop arrival schedule" `Quick
       test_load_gen_schedule;
     Alcotest.test_case "serve: deterministic churn run" `Quick
