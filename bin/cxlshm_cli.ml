@@ -1131,13 +1131,15 @@ let set_mutation = function
   | "transfer-head" -> Cxlshm.Transfer.mutation_unfenced_advance := true
   | "kv-quiesce" -> Cxlshm_kv.Cxl_kv.mutation_unconditional_quiesce := true
   | "kv-crash-reap" -> Cxlshm.Recovery.mutation_crash_reap := true
+  | "kv-park-hw-late" -> Cxlshm_kv.Cxl_kv.mutation_park_hw_late := true
   | "rpc-skip-validate" -> Cxlshm_rpc.Cxl_rpc.mutation_skip_validate := true
   | "rpc-unfenced-status" ->
       Cxlshm_rpc.Cxl_rpc.mutation_unfenced_status := true
   | m ->
       Printf.eprintf
         "unknown mutation %s (have: none, spsc-pop, transfer-head, \
-         kv-quiesce, kv-crash-reap, rpc-skip-validate, rpc-unfenced-status)\n"
+         kv-quiesce, kv-crash-reap, kv-park-hw-late, rpc-skip-validate, \
+         rpc-unfenced-status)\n"
         m;
       exit 2
 
@@ -1282,7 +1284,8 @@ let explore_cmd =
               ~doc:
                 "Re-introduce a historical ordering bug before exploring: \
                  $(b,spsc-pop), $(b,transfer-head), $(b,kv-quiesce), \
-                 $(b,kv-crash-reap), $(b,rpc-skip-validate) or \
+                 $(b,kv-crash-reap), $(b,kv-park-hw-late), \
+                 $(b,rpc-skip-validate) or \
                  $(b,rpc-unfenced-status) (self-check).")
       $ Arg.(
           value

@@ -546,11 +546,32 @@ let free_obj_block (ctx : Ctx.t) obj =
     | blk, gid ->
     assert (blk = obj);
     let seg = Layout.segment_of_addr ctx.lay blk in
-    let ver = Segment.version ctx seg in
     (* Zero the header so scans and reuse observe count 0. *)
-    Ctx.store ctx (Obj_header.header_of_obj blk) 0;
-    Ctx.store ctx (Obj_header.meta_of_obj blk) 0;
-    Ctx.crash_point ctx Fault.Release_mid_reclaim;
+    let zero_header () =
+      Ctx.store ctx (Obj_header.header_of_obj blk) 0;
+      Ctx.store ctx (Obj_header.meta_of_obj blk) 0;
+      Ctx.crash_point ctx Fault.Release_mid_reclaim
+    in
+    if Ctx.cache_owns ctx seg then begin
+      (* The ownership mirror says this client owns the segment, and while
+         it does nobody else can recycle it or take it over, so neither the
+         version re-check nor the shared owner word below can say anything
+         the mirror does not:
+         - Only a live owner releases or recycles its own segment. Recovery,
+           [Cxl_rpc.close_server] revocation and [Reclaim.scan_all] touch
+           only segments whose owner is dead, or that are orphaned.
+         - [Evacuate.relocate_own] runs as the owner and releases through
+           [Segment.release], which clears the mirror entry; so does every
+           other release ([Reclaim.recycle_plain_segment], the huge paths).
+         - Claim and adopt set the entry only after their winning CAS.
+         A client that has been condemned must stop: its page-meta mirror
+         (the free-list heads this push writes through) is equally stale. *)
+      zero_header ();
+      Page.push_free ctx ~gid ~rootref:false blk
+    end
+    else
+    let ver = Segment.version ctx seg in
+    zero_header ();
     if Segment.version ctx seg <> ver then
       (* Segment recycled between the zeroing and the list push (recovery
          saw all counts at zero): the block died with the old lifetime, and

@@ -12,8 +12,11 @@
         quarantined — metadata zeroed, kind set to [Config.kind_quarantined]
         so allocation, validation and reclaim all skip the frame; torn
         object headers (ref_cnt > 0 but implausible meta) are cleared
+     1.6 high-water words: a park-registry or adoption-journal entry at
+        or above its structure's high-water word raises the word
      2. a crash-recovery sweep of every recorded client, exactly as
         [Shm.load] does — half-done transactions resolve here
+     2.7 adoption journal and park registries: faulty entries cleared
      3. mark from the durable roots (RootRefs, queue directory, named
         roots): wild references are cleared at their holder, unreachable
         ref_cnt > 0 objects are freed, and every reachable object's count
@@ -218,6 +221,28 @@ let repair (ctx : Ctx.t) =
       incr rings
     end
   done;
+
+  (* ---- pass 1.6: high-water words ----
+     An occupied park-registry or adoption-journal slot at or above its
+     high-water word is invisible to every bounded scan, the recovery
+     sweep's included: the sweep would neither journal such a registry
+     entry nor see such a journal entry, and could append over it. So the
+     word is raised over the slot here, before the sweep, rather than with
+     the entry repairs of pass 2.7; an entry the raise exposes is then
+     journaled, kept or cleared by the usual rule. *)
+  let above =
+    List.exists (function Walk.Above_high_water _ -> true | _ -> false)
+  in
+  let raise_over addr k =
+    if peek addr <= k then begin
+      poke addr (k + 1);
+      incr adopt
+    end
+  in
+  Walk.iter_parked mem lay (fun ~cid k ~rr:_ faults ->
+      if above faults then raise_over (Layout.park_hw lay cid) k);
+  Walk.iter_journal mem lay (fun i ~rr:_ faults ->
+      if above faults then raise_over (Layout.adopt_hw lay) i);
 
   (* ---- pass 2: crash-recovery sweep of every recorded client ---- *)
   let force_unlock () =

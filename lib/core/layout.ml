@@ -53,13 +53,14 @@ let make cfg =
   let clientvec_base = align8 (segvec_base + (seg_meta_words * cfg.Config.num_segments)) in
   (* misc + era row + redo log + per-kind current-page table (classes +
      rootref) + current-segment cursor + retirement journal (count, base
-     era, K rootref slots) + parked-record registry ((stamp, rr) pairs) *)
+     era, K rootref slots) + parked-record registry ((stamp, rr) pairs)
+     + the registry's high-water word *)
   let client_state_words =
     align8
       (client_misc_words + cfg.Config.max_clients + redo_words
       + (num_classes + 1) + 1
       + (2 + cfg.Config.epoch_batch)
-      + (2 * cfg.Config.park_slots))
+      + (2 * cfg.Config.park_slots) + 1)
   in
   let domvec_base =
     align8 (clientvec_base + (client_state_words * cfg.Config.max_clients))
@@ -202,6 +203,10 @@ let park_slot_rr t i k =
     invalid_arg (Printf.sprintf "Layout.park_slot_rr: slot %d out of range" k);
   park_base t i + (2 * k) + 1
 
+(* One past the highest registry slot the client ever published; every
+   slot at or above it is free. Monotone for the life of the client slot. *)
+let park_hw t i = park_base t i + (2 * park_capacity t)
+
 let domain_class_head t d c =
   if d < 0 || d >= t.cfg.Config.num_domains then
     invalid_arg (Printf.sprintf "Layout.domain_class_head: domain %d" d);
@@ -244,6 +249,11 @@ let recovery_wl_slot t i =
   if i < 0 || i >= recovery_wl_capacity t then
     invalid_arg "Layout.recovery_wl_slot: out of range";
   t.recovery_base + recovery_hdr_words + i
+
+(* A spare recovery-header word: one past the highest adoption-journal
+   slot recovery ever published. Only recovery raises it, under the
+   recovery lock. *)
+let adopt_hw t = t.recovery_base + 4
 
 (* Adoption journal: arena-wide slots of {rr, stamp, claim}. The rr word
    is the commit point; recovery writes stamp (and zeroes claim) before

@@ -187,6 +187,14 @@ val park_slot_stamp : t -> int -> int -> Cxlshm_shmem.Pptr.t
 val park_slot_rr : t -> int -> int -> Cxlshm_shmem.Pptr.t
 (** [park_slot_stamp/rr lay cid k] — the two words of registry slot [k]. *)
 
+val park_hw : t -> int -> Cxlshm_shmem.Pptr.t
+(** [park_hw lay cid] — the registry's high-water word, after its last
+    slot: one past the highest slot client [cid] ever published. The
+    writer raises it before the fence that orders the stamp before the rr
+    commit word, so a slot at or above it is never occupied and every
+    scan of the registry stops there. Monotone for the life of the client
+    slot. *)
+
 val domain_class_head : t -> int -> int -> Cxlshm_shmem.Pptr.t
 (** [domain_class_head lay d c] — head word of domain [d]'s sharded free
     stack for size class [c] (packed {tag, pptr} Treiber stack, same shape
@@ -229,6 +237,13 @@ val recovery_phase : t -> Cxlshm_shmem.Pptr.t
 val recovery_wl_top : t -> Cxlshm_shmem.Pptr.t
 val recovery_wl_slot : t -> int -> Cxlshm_shmem.Pptr.t
 val recovery_wl_capacity : t -> int
+
+val adopt_hw : t -> Cxlshm_shmem.Pptr.t
+(** High-water word of the adoption journal (a spare recovery-header
+    word): one past the highest journal slot recovery ever published.
+    Recovery raises it, under the recovery lock, before the fence that
+    orders a slot's stamp before its rr commit word; every scan of the
+    journal stops there. Monotone for the life of the arena. *)
 
 (** {1 Adoption journal}
 

@@ -386,72 +386,100 @@ let recover_journal (ctx : Ctx.t) ~cid report =
    stamps intact, for a live successor to adopt ([Cxl_kv.adopt_recovered])
    or for the monitor to drain once all announced eras have passed. *)
 
+(* Every charged scan of a park registry or of the adoption journal stops
+   at its high-water word ({!Layout.park_hw}, {!Layout.adopt_hw}): one past
+   the highest slot ever published, so its cost follows the slots actually
+   used, not the configured capacity. A slot at or above the word is never
+   occupied: the publisher raises the word before the fence that orders a
+   slot's stamp before its rr commit word, and the word never drops. A
+   word past the capacity (damage) is capped. *)
+let park_high_water (ctx : Ctx.t) ~cid =
+  let lay = ctx.Ctx.lay in
+  min (Ctx.load ctx (Layout.park_hw lay cid)) (Layout.park_capacity lay)
+
+let journal_high_water (ctx : Ctx.t) =
+  let lay = ctx.Ctx.lay in
+  min (Ctx.load ctx (Layout.adopt_hw lay)) (Layout.adopt_capacity lay)
+
 let adopt_pending (ctx : Ctx.t) =
   let lay = ctx.Ctx.lay in
   let n = ref 0 in
-  for k = 0 to Layout.adopt_capacity lay - 1 do
+  for k = 0 to journal_high_water ctx - 1 do
     if Ctx.load ctx (Layout.adopt_slot_rr lay k) <> 0 then incr n
   done;
   !n
 
 (* The rootrefs named by the adoption journal and by every client's parked
    registry are live holders, whatever segment they sit in: the rootref
-   scan of a later-failing segment owner must not era-blind-release them. *)
+   scan of a later-failing segment owner must not era-blind-release them.
+   The journal is read first, then each client's high-water word, then
+   that client's slots. A successor's [Cxl_kv.adopt_recovered] moves an
+   entry journal -> registry in the opposite order: it raises its word and
+   publishes the registry slot before it clears the journal slot. So an
+   entry this scan finds cleared in the journal was already below the
+   adopter's word, in its registry, when the word is read: a live
+   adopter's move can hide the entry from neither read. *)
 let adoption_holds (ctx : Ctx.t) =
   let lay = ctx.Ctx.lay in
   let cfg = Ctx.cfg ctx in
   let tbl = Hashtbl.create 16 in
-  for k = 0 to Layout.adopt_capacity lay - 1 do
+  for k = 0 to journal_high_water ctx - 1 do
     let rr = Ctx.load ctx (Layout.adopt_slot_rr lay k) in
     if rr <> 0 then Hashtbl.replace tbl rr ()
   done;
   for i = 0 to cfg.Config.max_clients - 1 do
-    for k = 0 to Layout.park_capacity lay - 1 do
+    for k = 0 to park_high_water ctx ~cid:i - 1 do
       let rr = Ctx.load ctx (Layout.park_slot_rr lay i k) in
       if rr <> 0 then Hashtbl.replace tbl rr ()
     done
   done;
   tbl
 
-(* [recover_parked] reads the adoption journal (rr + claim of every slot)
-   and the dead client's registry once, into volatile tables, and resolves
-   claims, de-duplicates and appends from that snapshot rather than
-   re-reading the journal per entry. The snapshot stays sound while it is
-   used:
+(* [recover_parked] reads the adoption journal (rr + claim of every slot
+   below its high-water word) and the dead client's registry (below its
+   word) once, into volatile tables, and resolves claims, de-duplicates
+   and appends from that snapshot rather than re-reading the journal per
+   entry. The snapshot stays sound while it is used:
    - Only recovery appends to the journal, and it does so under the
      recovery lock, so a slot free in the snapshot stays free until this
-     recovery fills it.
+     recovery fills it. For the same reason the journal's high-water word
+     is stable: every slot at or above it is free and is not read.
    - A successor's [Cxl_kv.adopt_recovered] and the monitor's
      [drain_adopt_journal] only clear slots, so a stale snapshot can only
      treat a slot as taken after it was freed: an append lands in a later
      slot, and a de-duplication hit means the entry was journaled (and
      perhaps already adopted) — never that it is lost.
-   - The dead client's registry and the claims it holds (claim = cid + 1)
-     are frozen: it no longer runs, and no one else writes them. *)
+   - The dead client's registry, its high-water word and the claims it
+     holds (claim = cid + 1) are frozen: it no longer runs, and no one
+     else writes them. Its word was raised before any slot it published,
+     so the registry read misses no occupied slot. *)
 type journal_snapshot = {
   j_rr : int array;  (** rr word of every slot; 0 = free *)
   j_claim : int array;
   j_holds : (int, unit) Hashtbl.t;  (** non-zero rr words, one binding per slot *)
   mutable j_free : int;  (** no free slot below this index *)
+  mutable j_hw : int;  (** the journal's high-water word, as last written *)
 }
 
 let snapshot_journal (ctx : Ctx.t) =
   let lay = ctx.Ctx.lay in
   let n = Layout.adopt_capacity lay in
+  let hw = journal_high_water ctx in
   let j_rr = Array.make n 0 and j_claim = Array.make n 0 in
   let j_holds = Hashtbl.create 16 in
-  for k = 0 to n - 1 do
+  for k = 0 to hw - 1 do
     let rr = Ctx.load ctx (Layout.adopt_slot_rr lay k) in
     j_rr.(k) <- rr;
     j_claim.(k) <- Ctx.load ctx (Layout.adopt_slot_claim lay k);
     if rr <> 0 then Hashtbl.add j_holds rr ()
   done;
-  { j_rr; j_claim; j_holds; j_free = 0 }
+  { j_rr; j_claim; j_holds; j_free = 0; j_hw = hw }
 
 (* Append {rr, stamp} to the adoption journal at the first slot free in the
-   snapshot. The rr word is the commit point: stamp and a zero claim are
-   fenced first, so a crash mid-append leaves a free (rr = 0) slot. Returns
-   [false] when the journal is full. *)
+   snapshot. The rr word is the commit point: stamp, a zero claim and, for
+   a slot at or above the high-water word, the raised word are fenced
+   first, so a crash mid-append leaves a free (rr = 0) slot below the
+   word. Returns [false] when the journal is full. *)
 let snapshot_append (ctx : Ctx.t) j ~stamp rr =
   let lay = ctx.Ctx.lay in
   let n = Array.length j.j_rr in
@@ -463,6 +491,10 @@ let snapshot_append (ctx : Ctx.t) j ~stamp rr =
     let k = j.j_free in
     Ctx.store ctx (Layout.adopt_slot_stamp lay k) stamp;
     Ctx.store ctx (Layout.adopt_slot_claim lay k) 0;
+    if k >= j.j_hw then begin
+      Ctx.store ctx (Layout.adopt_hw lay) (k + 1);
+      j.j_hw <- k + 1
+    end;
     Ctx.fence ctx;
     Ctx.store ctx (Layout.adopt_slot_rr lay k) rr;
     j.j_rr.(k) <- rr;
@@ -474,7 +506,7 @@ let recover_parked (ctx : Ctx.t) ~cid report =
   let lay = ctx.Ctx.lay in
   let j = snapshot_journal ctx in
   let registry =
-    Array.init (Layout.park_capacity lay) (fun k ->
+    Array.init (park_high_water ctx ~cid) (fun k ->
         Ctx.load ctx (Layout.park_slot_rr lay cid k))
   in
   (* Resolve adoptions [cid] had in flight as a successor. If its registry
@@ -482,7 +514,7 @@ let recover_parked (ctx : Ctx.t) ~cid report =
      journal slot (the entry re-enters the journal from the registry pass
      below, stamp intact). Otherwise the claim is void: release it so
      another successor (or the drain) can take the entry. *)
-  for k = 0 to Layout.adopt_capacity lay - 1 do
+  for k = 0 to j.j_hw - 1 do
     if j.j_claim.(k) = cid + 1 then begin
       let rr = j.j_rr.(k) in
       if rr <> 0 && Array.mem rr registry then begin
@@ -497,7 +529,7 @@ let recover_parked (ctx : Ctx.t) ~cid report =
   (* Move the dead client's registry into the journal, stamps intact. Each
      move is journal-then-clear so a crash in between leaves the entry in
      both places; the snapshot's [j_holds] makes the redo idempotent. *)
-  for k = 0 to Layout.park_capacity lay - 1 do
+  for k = 0 to Array.length registry - 1 do
     let rr_addr = Layout.park_slot_rr lay cid k in
     let rr = registry.(k) in
     if rr <> 0 then
@@ -547,7 +579,7 @@ let drain_adopt_journal (ctx : Ctx.t) =
   let lay = ctx.Ctx.lay in
   let safe = Hazard.min_announced ctx in
   let n = ref 0 in
-  for k = 0 to Layout.adopt_capacity lay - 1 do
+  for k = 0 to journal_high_water ctx - 1 do
     let rr = Ctx.load ctx (Layout.adopt_slot_rr lay k) in
     if
       rr <> 0

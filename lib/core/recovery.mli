@@ -52,6 +52,15 @@ val mutation_crash_reap : bool ref
     the bounded-exhaustive crash-then-recover search must observe the
     resulting use-after-free. *)
 
+val park_high_water : Ctx.t -> cid:int -> int
+(** How many of [cid]'s park-registry slots a scan must read: its
+    {!Layout.park_hw} word, capped at the capacity. Every slot at or above
+    it is free. *)
+
+val journal_high_water : Ctx.t -> int
+(** How many adoption-journal slots a scan must read: the
+    {!Layout.adopt_hw} word, capped at the capacity. *)
+
 val adopt_pending : Ctx.t -> int
 (** Number of occupied adoption-journal slots (awaiting a successor or the
     drain). *)

@@ -118,6 +118,8 @@ let run mem lay =
     | Walk.No_target -> flag mism "%s: rr @%d parks no object" where rr
     | Walk.Journaled_at j -> flag dfree "%s: rr @%d already journaled at [%d]" where rr j
     | Walk.Bad_claim c -> flag mism "%s: claim %d names no recorded client" where c
+    | Walk.Above_high_water hw ->
+        flag mism "%s: rr @%d at or above the high-water word %d" where rr hw
   in
   Walk.iter_parked mem lay (fun ~cid k ~rr ->
       List.iter (flag_entry (Printf.sprintf "park registry c%d[%d]" cid k) rr));

@@ -199,6 +199,7 @@ type entry_fault =
   | No_target
   | Journaled_at of int
   | Bad_claim of int
+  | Above_high_water of int
 
 let live_rootref mem lay rr = rootref_ok mem lay rr && Rootref.peek_in_use mem rr
 
@@ -206,21 +207,30 @@ let slot_free mem lay cid =
   Client.status_of_word (Mem.unsafe_peek mem (Layout.client_flags lay cid))
   = Some Client.Slot_free
 
+(* The oracle reads every slot, not just those below the high-water
+   word the runtime's scans stop at, and reports an occupied slot at or
+   above the word: the one state that would hide an entry from them. *)
+let above_high_water ~hw k ~rr =
+  if rr <> 0 && k >= hw then [ Above_high_water hw ] else []
+
 let iter_parked mem lay f =
   for cid = 0 to lay.Layout.cfg.Config.max_clients - 1 do
+    let hw = Mem.unsafe_peek mem (Layout.park_hw lay cid) in
     for k = 0 to Layout.park_capacity lay - 1 do
       let rr = Mem.unsafe_peek mem (Layout.park_slot_rr lay cid k) in
       f ~cid k ~rr
-        (if rr = 0 then []
-         else if not (live_rootref mem lay rr) then [ Dead_rootref ]
-         else if slot_free mem lay cid then [ Freed_owner ]
-         else [])
+        ((if rr = 0 then []
+          else if not (live_rootref mem lay rr) then [ Dead_rootref ]
+          else if slot_free mem lay cid then [ Freed_owner ]
+          else [])
+        @ above_high_water ~hw k ~rr)
     done
   done
 
 let iter_journal mem lay f =
   let peek = Mem.unsafe_peek mem in
   let journaled = Hashtbl.create 16 in
+  let hw = peek (Layout.adopt_hw lay) in
   for i = 0 to Layout.adopt_capacity lay - 1 do
     let rr = peek (Layout.adopt_slot_rr lay i) in
     let claim = peek (Layout.adopt_slot_claim lay i) in
@@ -240,5 +250,8 @@ let iter_journal mem lay f =
       || (claim > 0 && claim <= lay.Layout.cfg.Config.max_clients
          && not (slot_free mem lay (claim - 1)))
     in
-    f i ~rr (rr_fault @ if claim_ok then [] else [ Bad_claim claim ])
+    f i ~rr
+      (rr_fault
+      @ (if claim_ok then [] else [ Bad_claim claim ])
+      @ above_high_water ~hw i ~rr)
   done

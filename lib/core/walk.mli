@@ -123,14 +123,20 @@ type entry_fault =
   | No_target  (** the journaled rootref parks no object *)
   | Journaled_at of int  (** the rr is already journaled at this slot *)
   | Bad_claim of int  (** the claim names no possible, recorded client *)
+  | Above_high_water of int
+      (** the occupied slot sits at or above its structure's high-water
+          word ({!Layout.park_hw}, {!Layout.adopt_hw}), which holds this
+          value: every bounded scan of the runtime misses it *)
 
 val iter_parked :
   Cxlshm_shmem.Mem.t -> Layout.t ->
   (cid:int -> int -> rr:Cxlshm_shmem.Pptr.t -> entry_fault list -> unit) -> unit
-(** Every park-registry slot, with the faults of its rr word. *)
+(** Every park-registry slot up to the capacity (not just below the
+    high-water word), with the faults of its rr word. *)
 
 val iter_journal :
   Cxlshm_shmem.Mem.t -> Layout.t ->
   (int -> rr:Cxlshm_shmem.Pptr.t -> entry_fault list -> unit) -> unit
-(** Every adoption-journal slot in order, with the faults of its rr word (a
+(** Every adoption-journal slot in order up to the capacity, with the
+    faults of its rr word (a
     duplicate is charged to the later slot) and of its claim word. *)

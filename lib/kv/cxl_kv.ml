@@ -17,12 +17,17 @@ type handle = {
           counted reference that keeps the block from being recycled under
           a concurrent reader *)
   mutable park_free : int list;
-      (** free slots of this client's persistent parked-record registry *)
+      (** free slots of this client's persistent parked-record registry
+          below [park_hw] (every slot at or above it is free too) *)
+  mutable park_hw : int;
+      (** volatile mirror of this client's {!Layout.park_hw} word *)
 }
 
 let name = "CXL-KV"
 
 let mutation_unconditional_quiesce = ref false
+
+let mutation_park_hw_late = ref false
 
 let walk_hook : (unit -> unit) ref = ref (fun () -> ())
 
@@ -50,19 +55,51 @@ let partition_of_key store key = key mod store.partitions
    journal ({!Cxlshm.Recovery}), retire stamps intact, for a successor to
    adopt. One writing handle per client — the registry is per-cid. *)
 
-(* Ascending, so consecutive loads stay on the same or next line and
-   stream; the free list still comes out in ascending slot order. *)
+(* The registry's high-water word bounds the scan: every slot at or above
+   it is free without being read. Ascending, so consecutive loads stay on
+   the same or next line and stream; the free list comes out in ascending
+   slot order, and slots past it are taken in order from the word up. *)
 let scan_park_free (ctx : Ctx.t) =
   let lay = ctx.Ctx.lay in
   let cid = ctx.Ctx.cid in
+  let hw = Recovery.park_high_water ctx ~cid in
   let free = ref [] in
-  for k = 0 to Layout.park_capacity lay - 1 do
+  for k = 0 to hw - 1 do
     if Ctx.load ctx (Layout.park_slot_rr lay cid k) = 0 then free := k :: !free
   done;
-  List.rev !free
+  (List.rev !free, hw)
+
+(* Publish {stamp, rr} in slot [k]. A slot at or above the high-water word
+   raises the word first, before the fence that orders the stamp before
+   the rr commit word, so no scan bounded by the word can miss the slot.
+   The [park_free] list is LIFO, so slots stay low and the common case (a
+   reused slot below the mirror) writes nothing extra. *)
+let park_publish h k ~stamp rr =
+  let lay = h.ctx.Ctx.lay in
+  let cid = h.ctx.Ctx.cid in
+  let raise_hw () =
+    if k >= h.park_hw then begin
+      Ctx.store h.ctx (Layout.park_hw lay cid) (k + 1);
+      h.park_hw <- k + 1
+    end
+  in
+  Ctx.store h.ctx (Layout.park_slot_stamp lay cid k) stamp;
+  if not !mutation_park_hw_late then raise_hw ();
+  Ctx.fence h.ctx;
+  Ctx.store h.ctx (Layout.park_slot_rr lay cid k) rr;
+  Ctx.crash_point h.ctx Fault.Park_after_append;
+  if !mutation_park_hw_late then raise_hw ()
 
 let park_register h ~stamp rr =
   match h.park_free with
+  | k :: rest ->
+      h.park_free <- rest;
+      park_publish h k ~stamp rr;
+      k
+  | [] when h.park_hw < Layout.park_capacity h.ctx.Ctx.lay ->
+      let k = h.park_hw in
+      park_publish h k ~stamp rr;
+      k
   | [] ->
       (* Bounded registry: the record stays parked volatile-only — correct
          while this client lives, unrecoverable for adoption if it dies. *)
@@ -70,15 +107,6 @@ let park_register h ~stamp rr =
           m "%s: parked-record registry full (client %d); parking \
              volatile-only" name h.ctx.Ctx.cid);
       -1
-  | k :: rest ->
-      let lay = h.ctx.Ctx.lay in
-      let cid = h.ctx.Ctx.cid in
-      Ctx.store h.ctx (Layout.park_slot_stamp lay cid k) stamp;
-      Ctx.fence h.ctx;
-      Ctx.store h.ctx (Layout.park_slot_rr lay cid k) rr;
-      h.park_free <- rest;
-      Ctx.crash_point h.ctx Fault.Park_after_append;
-      k
 
 let park_clear h slot =
   if slot >= 0 then begin
@@ -99,13 +127,15 @@ let create ctx ~buckets ~partitions ~value_words =
   for p = 0 to partitions - 1 do
     Ctx.store ctx (writer_word store p) 0
   done;
+  let park_free, park_hw = scan_park_free ctx in
   let handle =
     {
       ctx;
       store;
       index_rr = Cxl_ref.rootref r;
       deferred = [];
-      park_free = scan_park_free ctx;
+      park_free;
+      park_hw;
     }
   in
   (store, handle)
@@ -113,7 +143,8 @@ let create ctx ~buckets ~partitions ~value_words =
 let open_store ctx store =
   let rr = Alloc.alloc_rootref ctx in
   Refc.attach ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:store.index_obj;
-  { ctx; store; index_rr = rr; deferred = []; park_free = scan_park_free ctx }
+  let park_free, park_hw = scan_park_free ctx in
+  { ctx; store; index_rr = rr; deferred = []; park_free; park_hw }
 
 (* Hazard-era quiesce (§5.4): a parked record may only be recycled once
    every announced reader era has moved past its retire stamp — otherwise
@@ -352,13 +383,14 @@ let adopt_deferred h q ~max =
    claim CAS, the registry re-append and the journal clear are separated
    by labeled crash points; {!Cxlshm.Recovery} resolves a successor that
    dies between any two (registry presence decides whether the move
-   committed). *)
+   committed). The scan stops at the journal's high-water word; an entry
+   recovery publishes past the word read here waits for the next call. *)
 let adopt_recovered h =
   let ctx = h.ctx in
   let lay = ctx.Ctx.lay in
   let cid = ctx.Ctx.cid in
   let n = ref 0 in
-  for k = 0 to Layout.adopt_capacity lay - 1 do
+  for k = 0 to Recovery.journal_high_water ctx - 1 do
     let rr_addr = Layout.adopt_slot_rr lay k in
     let claim_addr = Layout.adopt_slot_claim lay k in
     let rr = Ctx.load ctx rr_addr in

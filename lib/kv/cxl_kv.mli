@@ -142,3 +142,10 @@ val mutation_unconditional_quiesce : bool ref
     parked records unconditionally, ignoring announced reader eras — for
     the [kv-serve] model's mutation self-check. Must stay [false]
     otherwise. *)
+
+val mutation_park_hw_late : bool ref
+(** {b Test-only.} Publishes a park-registry slot's rr word before raising
+    the registry's high-water word ({!Cxlshm.Layout.park_hw}), past the
+    [park-after-append] crash point — the [kv-park-hw-late] explorer
+    mutation: a writer that dies in between leaves a parked record that
+    recovery's bounded scan never sees. Must stay [false] otherwise. *)

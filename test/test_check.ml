@@ -181,6 +181,23 @@ let test_finds_crash_reap_mutation () =
       | Explore.Pass | Explore.Diverged ->
           Alcotest.fail "replay did not reproduce the failure")
 
+(* The park-registry high-water word raised late: the writer publishes a
+   slot's rr word before it raises the word, and dies in between. The
+   record then sits above the word, where recovery's bounded scans never
+   look: it is neither journaled nor held, and the arena oracle reports
+   the stranded registry entry. *)
+let test_finds_park_hw_late_mutation () =
+  with_flag Cxlshm_kv.Cxl_kv.mutation_park_hw_late @@ fun () ->
+  let m = Scenarios.kv_serve_recover () in
+  let r = Explore.exhaustive ~preemptions:1 ~crash:true ~max_steps:60_000 m in
+  match r.Explore.failure with
+  | None -> Alcotest.fail "late high-water raise survived exhaustive search"
+  | Some f ->
+      Alcotest.(check bool)
+        ("failure is the stranded registry entry: " ^ f.Explore.reason)
+        true
+        (string_contains f.Explore.reason "park registry")
+
 (* The pointer-isolation walk, disabled: with validation skipped the
    smuggled out-of-channel pointer reaches the handler, and the model's
    oracle must say exactly that — on the very first schedule, since no
@@ -303,6 +320,8 @@ let suite =
       test_finds_kv_quiesce_mutation;
     Alcotest.test_case "finds the era-blind crash reap" `Quick
       test_finds_crash_reap_mutation;
+    Alcotest.test_case "finds the late park high-water raise" `Quick
+      test_finds_park_hw_late_mutation;
     Alcotest.test_case "finds the rpc skip-validate mutation" `Quick
       test_finds_rpc_skip_validate_mutation;
     Alcotest.test_case "finds the rpc unfenced-status mutation" `Quick

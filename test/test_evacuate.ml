@@ -167,6 +167,72 @@ let test_relocate_own_drains_device () =
   Ctx.clear_degraded svc;
   check_clean arena "relocate own"
 
+(* ---- the free fast path trusts the ownership mirror ----
+   [Alloc.free_obj_block] pushes a block straight onto its page's free
+   list, skipping the segment's version and owner words, when
+   [Ctx.cache_owns] says the freeing client owns the segment. That is sound
+   only while the mirror never outlives the ownership: a segment the owner
+   gives back (relocation, a monitor sweep) must leave the mirror, and one
+   it takes over (a dead peer's orphan) must enter it only once the shared
+   owner word names it. The mirror is compared with the shared owner words
+   after each step, and the frees that follow each step must leave a clean
+   arena. *)
+let test_owner_mirror_tracks_ownership () =
+  let arena = Shm.create ~cfg:(striped_cfg ()) () in
+  let svc = Shm.service_ctx arena in
+  let nseg = (Shm.layout arena).Layout.cfg.Config.num_segments in
+  let a = Shm.join arena () and b = Shm.join arena () in
+  let agree label =
+    Alcotest.(check bool) (label ^ ": mirror populated") true
+      (Ctx.cache_owned_known a);
+    for s = 0 to nseg - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: mirror of segment %d" label s)
+        (Segment.owner svc s = Some a.Ctx.cid)
+        (Ctx.cache_owns a s)
+    done
+  in
+  let objs =
+    List.init 24 (fun i ->
+        let h = Shm.cxl_malloc a ~size_bytes:16 () in
+        Cxl_ref.write_word h 0 i;
+        h)
+  in
+  (* [a] holds one of [b]'s objects, so [b]'s segment outlives [b] *)
+  let parent = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+  let child = Shm.cxl_malloc b ~size_bytes:16 () in
+  Cxl_ref.set_emb parent 0 child;
+  agree "after allocation";
+  (* relocation gives back the segments on the degraded device *)
+  let dev = dev_of arena a (Cxl_ref.obj (List.hd objs)) in
+  Ctx.mark_degraded svc dev;
+  let rep = Evacuate.relocate_own a in
+  Alcotest.(check (list string)) "no errors" [] rep.Evacuate.errors;
+  let remap h =
+    match List.assoc_opt (Cxl_ref.rootref h) rep.Evacuate.remapped with
+    | Some rr2 -> Cxl_ref.of_rootref a rr2
+    | None -> h
+  in
+  let objs = List.map remap objs and parent = remap parent in
+  ignore (Shm.evacuate arena);
+  Ctx.clear_degraded svc;
+  agree "after relocation and a monitor sweep";
+  List.iteri (fun i h -> if i mod 2 = 0 then Cxl_ref.drop h) objs;
+  agree "after own frees";
+  Alcotest.(check bool) "clean after own frees" true
+    (Validate.is_clean (Shm.validate arena));
+  (* [b] dies; its segment holding [child] outlives it, orphaned, and [a]
+     adopts it: the last free of [child] then takes the fast path *)
+  let cseg = seg_of arena (Cxl_ref.get_emb parent 0) in
+  Client.declare_failed svc ~cid:b.Ctx.cid;
+  ignore (Shm.recover arena ~failed_cid:b.Ctx.cid);
+  Alcotest.(check bool) "orphan adopted" true (Segment.adopt a cseg);
+  agree "after adopting an orphan";
+  Cxl_ref.drop parent;
+  List.iteri (fun i h -> if i mod 2 = 1 then Cxl_ref.drop h) objs;
+  agree "after the last frees";
+  check_clean arena "owner mirror"
+
 (* ---- evacuator crash at each Evac_* point: recovery cleans up, the next
    sweep breaks the dead claim, resumes the migration journal, and finishes
    the move without forking object identity ---- *)
@@ -233,6 +299,8 @@ let suite =
     Alcotest.test_case "huge run evacuation" `Quick test_huge_move;
     Alcotest.test_case "relocate_own drains the device" `Quick
       test_relocate_own_drains_device;
+    Alcotest.test_case "free fast path: owner mirror tracks ownership" `Quick
+      test_owner_mirror_tracks_ownership;
     Alcotest.test_case "crash after copy" `Quick
       (crash_resume Fault.Evac_after_copy);
     Alcotest.test_case "crash mid re-point (journal resume)" `Quick

@@ -14,6 +14,11 @@ let check_clean arena = Validate.is_clean (Validate.run (Shm.mem arena) (Shm.lay
 
 let repair arena = Shm.fsck arena
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 (* A published object survives fsck (the durable root anchors it); the
    publishing client's slot does not — fsck treats every recorded client
    as dead, which offline they are. *)
@@ -208,11 +213,6 @@ let test_soak_matrix () =
     (List.exists (fun r -> r.Soak.retries > 0) runs);
   Alcotest.(check bool) "escalations exercised" true
     (List.exists (fun r -> r.Soak.escalations > 0) runs);
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   let json = Soak.matrix_to_json ~seed:20250806 runs in
   Alcotest.(check bool) "json has totals" true
     (String.length json > 0
@@ -253,10 +253,79 @@ let test_adoption_journal_repaired () =
   let r2 = repair arena in
   Alcotest.(check int) "idempotent" 0 r2.Fsck.adopt_fixed
 
+(* An occupied park-registry or journal slot at or above its high-water
+   word hides from every bounded scan: verification must flag it, and
+   repair must raise the word over it (pass 1.6) before the recovery sweep,
+   so the sweep journals the registry entry and keeps the journal one. *)
+let test_high_water_raised () =
+  let module Kv = Cxlshm_kv.Cxl_kv in
+  let arena = Shm.create ~cfg:Config.small () in
+  let mem, lay = mem_lay arena in
+  let peek = Mem.unsafe_peek mem and poke = Mem.unsafe_poke mem in
+  let svc = Shm.service_ctx arena in
+  (* a dead writer's parked record, journaled at slot 0 *)
+  let w = Shm.join arena () in
+  let store, h = Kv.create w ~buckets:4 ~partitions:1 ~value_words:1 in
+  Alcotest.(check bool) "claim" true (Kv.claim_partition h 0);
+  Kv.put h ~key:1 ~value:1;
+  Kv.put h ~key:2 ~value:2;
+  Kv.put_cow h ~key:1 ~value:10;
+  let w2 = Shm.join arena () in
+  let h2 = Kv.open_store w2 store in
+  Client.declare_failed svc ~cid:w.Ctx.cid;
+  ignore (Recovery.recover svc ~failed_cid:w.Ctx.cid);
+  (* a live writer's parked record, in its registry slot 0 *)
+  Alcotest.(check bool) "takeover" true (Kv.takeover_partition h2 0);
+  Kv.put_cow h2 ~key:2 ~value:20;
+  let c2 = w2.Ctx.cid in
+  Alcotest.(check int) "journal high-water" 1 (peek (Layout.adopt_hw lay));
+  Alcotest.(check int) "registry high-water" 1 (peek (Layout.park_hw lay c2));
+  Alcotest.(check bool) "sound before the move" true (check_clean arena);
+  let move ~from ~into words =
+    List.iter2
+      (fun a b ->
+        poke b (peek a);
+        poke a 0)
+      (words from) (words into)
+  in
+  let jrr = peek (Layout.adopt_slot_rr lay 0) in
+  let prr = peek (Layout.park_slot_rr lay c2 0) in
+  move ~from:0 ~into:5 (fun k ->
+      [ Layout.adopt_slot_rr lay k; Layout.adopt_slot_stamp lay k ]);
+  move ~from:0 ~into:3 (fun k ->
+      [ Layout.park_slot_rr lay c2 k; Layout.park_slot_stamp lay c2 k ]);
+  let v = Validate.run mem lay in
+  let flagged where =
+    List.exists
+      (fun e -> contains e where && contains e "high-water")
+      v.Validate.errors
+  in
+  Alcotest.(check bool) "journal slot flagged" true
+    (flagged "adoption journal [5]");
+  Alcotest.(check bool) "registry slot flagged" true
+    (flagged (Printf.sprintf "park registry c%d[3]" c2));
+  let r = repair arena in
+  Alcotest.(check bool) "repaired" true (Fsck.clean r);
+  Alcotest.(check bool) "journal word raised" true
+    (peek (Layout.adopt_hw lay) >= 6);
+  Alcotest.(check bool) "registry word raised" true
+    (peek (Layout.park_hw lay c2) >= 4);
+  let journaled = ref [] in
+  for k = 0 to Layout.adopt_capacity lay - 1 do
+    let rr = peek (Layout.adopt_slot_rr lay k) in
+    if rr <> 0 then journaled := rr :: !journaled
+  done;
+  Alcotest.(check (list int)) "both records journaled"
+    (List.sort compare [ jrr; prr ])
+    (List.sort compare !journaled);
+  let r2 = repair arena in
+  Alcotest.(check int) "idempotent" 0 r2.Fsck.adopt_fixed
+
 let suite =
   [
     Alcotest.test_case "clean arena: nothing to fix" `Quick test_clean_arena_nothing_to_fix;
     Alcotest.test_case "adoption journal repaired" `Quick test_adoption_journal_repaired;
+    Alcotest.test_case "high-water words raised" `Quick test_high_water_raised;
     Alcotest.test_case "torn header repaired" `Quick test_torn_header_repaired;
     Alcotest.test_case "wild ref cleared, orphan freed" `Quick test_wild_ref_cleared_unreachable_freed;
     Alcotest.test_case "broken geometry quarantined" `Quick test_broken_geometry_quarantined;

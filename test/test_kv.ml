@@ -921,6 +921,50 @@ let test_recovery_reads_journal_once () =
     true
     (many - one < (nkeys - 1) * 64)
 
+(* Recovery and adoption cost what the dead writer parked, not what the
+   tables could hold: every registry and journal scan stops at its
+   high-water word. The same writer parks the same records (reusing a
+   reclaimed slot on the way) and dies, once with 16-slot tables and once
+   with 4,096-slot ones; recovery and the successor's adoption must touch
+   exactly as many words either way. *)
+let test_recovery_cost_capacity_free () =
+  let cost slots =
+    let cfg = { kv_cfg with Config.park_slots = slots; adopt_slots = slots } in
+    let arena = Shm.create ~cfg () in
+    let a = Shm.join arena () in
+    let store, h = Cxl_kv.create a ~buckets:64 ~partitions:1 ~value_words:1 in
+    Alcotest.(check bool) "claim" true (Cxl_kv.claim_partition h 0);
+    for k = 0 to 7 do
+      Cxl_kv.put h ~key:k ~value:k
+    done;
+    Cxl_kv.put_cow h ~key:0 ~value:50;
+    Cxl_kv.quiesce h;
+    let rctx = Shm.join arena () in
+    Hazard.enter rctx;
+    for k = 0 to 7 do
+      Cxl_kv.put_cow h ~key:k ~value:(100 + k)
+    done;
+    let b = Shm.join arena () in
+    let hb = Cxl_kv.open_store b store in
+    let svc = Shm.service_ctx arena in
+    Client.declare_failed svc ~cid:a.Ctx.cid;
+    let before = Stats.copy svc.Ctx.st in
+    let rep = Recovery.recover svc ~failed_cid:a.Ctx.cid in
+    let recover = Stats.total_accesses (Stats.diff svc.Ctx.st before) in
+    Alcotest.(check int) "all journaled" 8 rep.Recovery.parked_journaled;
+    Alcotest.(check bool) "takeover" true (Cxl_kv.takeover_partition hb 0);
+    let before = Stats.copy b.Ctx.st in
+    Alcotest.(check int) "all adopted" 8 (Cxl_kv.adopt_recovered hb);
+    let adopt = Stats.total_accesses (Stats.diff b.Ctx.st before) in
+    Hazard.exit rctx;
+    Cxl_kv.quiesce hb;
+    Alcotest.(check int) "adopted records reclaimed" 0 (Cxl_kv.deferred_count hb);
+    (recover, adopt)
+  in
+  let small = cost 16 and large = cost 4096 in
+  Alcotest.(check (pair int int))
+    "recover / adopt_recovered accesses: 16 slots = 4,096 slots" small large
+
 let test_load_gen_schedule () =
   let g1 = Load_gen.create ~rate_mops:2.0 ~seed:11 in
   let g2 = Load_gen.create ~rate_mops:2.0 ~seed:11 in
@@ -1006,6 +1050,8 @@ let suite =
       test_join_scans_stream;
     Alcotest.test_case "recovery reads the journal once" `Quick
       test_recovery_reads_journal_once;
+    Alcotest.test_case "recovery cost is independent of registry capacity"
+      `Quick test_recovery_cost_capacity_free;
     Alcotest.test_case "open-loop arrival schedule" `Quick
       test_load_gen_schedule;
     Alcotest.test_case "serve: deterministic churn run" `Quick

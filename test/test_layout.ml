@@ -113,6 +113,55 @@ let prop_era_cells_disjoint =
       done;
       !ok)
 
+(* The high-water words share their neighbours' regions: [park_hw] sits
+   after each client's registry, [adopt_hw] in a spare recovery-header
+   word. Neither may alias a registry, journal, worklist or header word,
+   nor each other. *)
+let prop_high_water_words_disjoint =
+  QCheck.Test.make ~name:"high-water words overlap no table word" ~count:100
+    arb_cfg (fun cfg ->
+      let l = Layout.make cfg in
+      let m = cfg.Config.max_clients in
+      let taken = Hashtbl.create 1024 in
+      let add a = Hashtbl.replace taken a () in
+      for i = 0 to m - 1 do
+        add (Layout.retire_count l i);
+        add (Layout.retire_era l i);
+        for k = 0 to cfg.Config.epoch_batch - 1 do
+          add (Layout.retire_slot l i k)
+        done;
+        for k = 0 to cfg.Config.park_slots - 1 do
+          add (Layout.park_slot_stamp l i k);
+          add (Layout.park_slot_rr l i k)
+        done
+      done;
+      for k = 0 to cfg.Config.adopt_slots - 1 do
+        add (Layout.adopt_slot_rr l k);
+        add (Layout.adopt_slot_stamp l k);
+        add (Layout.adopt_slot_claim l k)
+      done;
+      for k = 0 to cfg.Config.worklist_words - 1 do
+        add (Layout.recovery_wl_slot l k)
+      done;
+      List.iter add
+        [
+          Layout.recovery_lock l;
+          Layout.recovery_failed l;
+          Layout.recovery_phase l;
+          Layout.recovery_wl_top l;
+        ];
+      let hw = Layout.adopt_hw l :: List.init m (Layout.park_hw l) in
+      List.for_all (fun a -> not (Hashtbl.mem taken a)) hw
+      && List.length (List.sort_uniq compare hw) = m + 1
+      && List.for_all
+           (fun i ->
+             let base = Layout.client_state l i in
+             let a = Layout.park_hw l i in
+             a >= base && a < base + l.Layout.client_state_words)
+           (List.init m Fun.id)
+      && Layout.adopt_hw l >= l.Layout.recovery_base
+      && Layout.adopt_hw l < l.Layout.recovery_base + 16)
+
 let test_class_geometry () =
   let cfg = Config.default in
   Alcotest.(check int) "min class" 4 (Config.class_block_words cfg 0);
@@ -152,6 +201,7 @@ let suite =
     Generators.to_alcotest prop_page_areas_inside_segment;
     Generators.to_alcotest prop_addr_roundtrips;
     Generators.to_alcotest prop_era_cells_disjoint;
+    Generators.to_alcotest prop_high_water_words_disjoint;
     Alcotest.test_case "size-class geometry" `Quick test_class_geometry;
     Alcotest.test_case "config validation" `Quick test_validate_rejects_bad_config;
   ]
