@@ -2,14 +2,15 @@
 
    Subcommands:
      demo      allocate / share / crash / recover walk-through
-     drill     run the §6.2.2 crash-window drill for one or all points
+     drill     run the fault-injection drills by name (Cxlshm_check.Drills)
      stats     print arena geometry for a given configuration
      validate  build a randomized workload and validate the arena
+     dump      run a small workload and dump the arena state
      fsck      verify (and optionally repair) a saved pool image
-     soak      crash-point x device-fault sweep with a JSON report
      trace     replay a client's event ring from a saved image
      top       per-op latency summary over every ring in a saved image
-     serve     open-loop KV serving run with churn and an SLO report *)
+     serve     open-loop KV serving run with churn and an SLO report
+     explore   model-check the concurrent protocols (Cxlshm_check.Scenarios) *)
 
 open Cxlshm
 open Cmdliner
@@ -181,158 +182,73 @@ let demo_cmd =
 
 (* ---- drill ---- *)
 
-let drill_one backend point =
-  let arena = Shm.create ~cfg:{ Config.small with Config.backend } () in
-  let a = Shm.join arena () in
-  a.Ctx.fault <- Fault.at point ~nth:1;
-  (try
-     let p = Shm.cxl_malloc a ~size_bytes:16 ~emb_cnt:1 () in
-     let c = Shm.cxl_malloc a ~size_bytes:16 () in
-     Cxl_ref.set_emb p 0 c;
-     Cxl_ref.clear_emb p 0;
-     Cxl_ref.drop c;
-     Cxl_ref.drop p
-   with Fault.Crashed _ -> ());
-  let svc = Shm.service_ctx arena in
-  Client.declare_failed svc ~cid:a.Ctx.cid;
-  ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
-  ignore (Reclaim.scan_all svc ~is_client_alive:(fun _ -> false));
-  let v = Shm.validate arena in
-  Printf.printf "%-32s %s\n" (Fault.point_name point)
-    (if Validate.is_clean v then "clean" else "VIOLATION");
-  Validate.is_clean v
+module Drills = Cxlshm_check.Drills
 
-let drill point_name backend =
-  let points =
-    match point_name with
-    | None -> Fault.all_points
-    | Some n -> (
-        match
-          List.find_opt (fun p -> Fault.point_name p = n) Fault.all_points
-        with
-        | Some p -> [ p ]
-        | None ->
-            Printf.eprintf "unknown crash point %s\n" n;
-            exit 2)
-  in
-  if List.for_all (drill_one backend) points then 0 else 1
+let drill names seed out =
+  match
+    List.concat_map
+      (function "all" -> Drills.all () | n -> [ Drills.find n ])
+      names
+  with
+  | exception Invalid_argument m ->
+      prerr_endline m;
+      2
+  | drills ->
+      let results =
+        List.map
+          (fun d ->
+            let seed = Option.value seed ~default:d.Drills.seed in
+            Printf.printf "== %s (seed %d)\n%!" d.Drills.name seed;
+            let r = d.Drills.run ~seed in
+            print_endline r.Drills.report;
+            (d, seed, r))
+          drills
+      in
+      Option.iter
+        (fun path ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Drills.to_json results ^ "\n")))
+        out;
+      let failed =
+        List.filter_map
+          (fun (d, _, r) -> if r.Drills.pass then None else Some d.Drills.name)
+          results
+      in
+      Printf.printf "drills: %d passed, %d failed%s\n"
+        (List.length results - List.length failed)
+        (List.length failed)
+        (if failed = [] then "" else " (" ^ String.concat ", " failed ^ ")");
+      if failed = [] then 0 else 1
 
 let drill_cmd =
   Cmd.v
-    (Cmd.info "drill" ~doc:"Run crash-window drills (all points by default).")
+    (Cmd.info "drill"
+       ~doc:
+         "Run fault-injection drills: crash a client, monitor replica, KV \
+          writer or RPC endpoint at a labelled point, recover, and check \
+          the arena. Exit status 1 if any drill fails.")
     Term.(
       const drill
       $ Arg.(
           value
+          & opt (list string) [ "all" ]
+          & info [ "name" ]
+              ~doc:
+                ("Comma-separated drills, or $(b,all): "
+                ^ String.concat "; "
+                    (List.map
+                       (fun d ->
+                         Printf.sprintf "$(b,%s) (seed %d): %s" d.Drills.name
+                           d.Drills.seed d.Drills.doc)
+                       (Drills.all ()))))
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "seed" ] ~doc:"Seed for every drill run (default: each drill's own).")
+      $ Arg.(
+          value
           & opt (some string) None
-          & info [ "point" ] ~doc:"Single crash point name.")
-      $ backend_term)
-
-(* ---- rpc ---- *)
-
-(* Endpoint-death drill for the zero-copy RPC channel: run a healthy call,
-   then kill one endpoint and check the survivor's path — a client blocked
-   in [finish] must get [Peer_failed] (never hang), a dead client's
-   sub-heap must come back to the arena through the server's revocation —
-   and the arena must audit clean afterwards. *)
-let rpc_run kill_server kill_client backend =
-  let module Rpc = Cxlshm_rpc.Cxl_rpc in
-  let module Message = Cxlshm_rpc.Message in
-  let arena = Shm.create ~cfg:{ Config.small with Config.backend } () in
-  let c = Shm.join arena () in
-  let s = Shm.join arena () in
-  let server = Rpc.accept s ~client_cid:c.Ctx.cid ~capacity:4 in
-  let client = Rpc.connect c ~server_cid:s.Ctx.cid ~capacity:4 in
-  Printf.printf "channel sub-heap: segments %s\n"
-    (String.concat ","
-       (List.map string_of_int (Rpc.channel_segments client)));
-  let handler ~func ~args ~output =
-    let v = match args with a :: _ -> Message.read_word a 0 | [] -> 0 in
-    Message.write_word output 0 (v + func)
-  in
-  let failed = ref [] in
-  let check name ok = if not ok then failed := name :: !failed in
-  (* healthy round trip *)
-  let arg = Rpc.alloc_arg client ~size_bytes:8 () in
-  Cxl_ref.write_word arg 0 41;
-  let p = Rpc.call_async client ~func:1 ~args:[ arg ] ~output_bytes:8 in
-  while not (Rpc.serve_one server ~handler) do () done;
-  let out = Rpc.finish p in
-  let ok = Cxl_ref.read_word out 0 = 42 in
-  Cxl_ref.drop out;
-  Printf.printf "healthy call: %s\n" (if ok then "ok" else "WRONG OUTPUT");
-  check "healthy call" ok;
-  let svc = Shm.service_ctx arena in
-  let kill ctx =
-    Client.declare_failed svc ~cid:ctx.Ctx.cid;
-    let rep = Shm.recover arena ~failed_cid:ctx.Ctx.cid in
-    Format.printf "recovery of client %d: %a@." ctx.Ctx.cid
-      Recovery.pp_report rep
-  in
-  if kill_server then begin
-    (* fire a call the server will never answer, then kill it: the client's
-       bounded wait must surface Peer_failed, not spin *)
-    let p = Rpc.call_async client ~func:1 ~args:[ arg ] ~output_bytes:8 in
-    kill s;
-    (match Rpc.finish p with
-    | _ ->
-        Printf.printf "kill-server: finish returned?!\n";
-        check "kill-server finish" false
-    | exception Rpc.Peer_failed _ ->
-        Printf.printf "kill-server: finish raised Peer_failed (bounded)\n";
-        Rpc.discard p);
-    Cxl_ref.drop arg;
-    Rpc.close_client client
-  end
-  else if kill_client then begin
-    (* a call in flight when the client dies: recovery parks the sub-heap
-       (orphaned, never recycled under the live server); the server's
-       teardown reaps the message and returns the segments *)
-    let _p = Rpc.call_async client ~func:1 ~args:[ arg ] ~output_bytes:8 in
-    kill c;
-    Rpc.close_server server;
-    let all_free =
-      List.for_all
-        (fun seg -> Segment.owner svc seg = None)
-        (Rpc.channel_segments client)
-    in
-    Printf.printf "kill-client: sub-heap %s\n"
-      (if all_free then "revoked and returned" else "NOT RETURNED");
-    check "kill-client revocation" all_free
-  end
-  else begin
-    Cxl_ref.drop arg;
-    Rpc.close_client client;
-    Rpc.close_server server
-  end;
-  ignore (Shm.scan_leaking arena);
-  let v = Shm.validate arena in
-  Format.printf "validation: %a@." Validate.pp v;
-  check "validation" (Validate.is_clean v);
-  match !failed with
-  | [] -> 0
-  | fs ->
-      Printf.eprintf "FAILED: %s\n" (String.concat ", " (List.rev fs));
-      1
-
-let rpc_cmd =
-  Cmd.v
-    (Cmd.info "rpc"
-       ~doc:
-         "Zero-copy RPC endpoint-death drill: healthy call, then kill one \
-          endpoint and verify the survivor unblocks (client) or revokes \
-          the channel sub-heap (server), with a clean audit.")
-    Term.(
-      const rpc_run
-      $ Arg.(
-          value & flag
-          & info [ "kill-server" ]
-              ~doc:"Kill the server under an in-flight call.")
-      $ Arg.(
-          value & flag
-          & info [ "kill-client" ]
-              ~doc:"Kill the client under an in-flight call.")
-      $ backend_term)
+          & info [ "out" ] ~doc:"Write every drill's JSON record to this file."))
 
 (* ---- validate ---- *)
 
@@ -412,7 +328,10 @@ let validate_cmd =
           value
           & opt (some string) None
           & info [ "crash-point" ]
-              ~doc:"Kill the client at this crash point (see $(b,drill)).")
+              ~doc:
+                ("Kill the client at this crash point: "
+                ^ String.concat ", " (List.map Fault.point_name Fault.all_points)
+                ^ "."))
       $ Arg.(
           value & opt int 1
           & info [ "crash-nth" ]
@@ -591,351 +510,6 @@ let fsck_cmd =
           & info [ "out" ]
               ~doc:"Write the repaired image here instead of in place."))
 
-(* ---- soak ---- *)
-
-let soak seed steps points schedules backends out =
-  let points =
-    match points with
-    | "all" -> None :: List.map Option.some Fault.all_points
-    | "none" -> [ None ]
-    | names ->
-        String.split_on_char ',' names
-        |> List.map (fun n ->
-               if n = "none" then None
-               else
-                 match
-                   List.find_opt
-                     (fun p -> Fault.point_name p = n)
-                     Fault.all_points
-                 with
-                 | Some p -> Some p
-                 | None ->
-                     Printf.eprintf "unknown crash point %s\n" n;
-                     exit 2)
-  in
-  let schedules =
-    match schedules with
-    | "all" -> Soak.default_schedules
-    | names ->
-        String.split_on_char ',' names
-        |> List.map (fun n ->
-               match
-                 List.find_opt
-                   (fun s -> s.Soak.sname = n)
-                   Soak.default_schedules
-               with
-               | Some s -> s
-               | None ->
-                   Printf.eprintf "unknown schedule %s\n" n;
-                   exit 2)
-  in
-  let backends =
-    match backends with
-    | "all" -> Soak.default_backends
-    | names ->
-        String.split_on_char ',' names
-        |> List.map (fun n ->
-               match
-                 List.find_opt
-                   (fun (bn, _) -> bn = n)
-                   Soak.default_backends
-               with
-               | Some b -> b
-               | None ->
-                   Printf.eprintf "unknown backend %s\n" n;
-                   exit 2)
-  in
-  let indexed l = List.mapi (fun i x -> (i, x)) l in
-  let runs =
-    List.concat_map
-      (fun (bi, backend) ->
-        List.concat_map
-          (fun (si, schedule) ->
-            List.map
-              (fun (pi, point) ->
-                let r =
-                  Soak.run_one ~backend ~schedule ~point
-                    ~seed:(Soak.mix_seed ~base:seed ~bi ~si ~pi)
-                    ~steps
-                in
-                Format.eprintf "%a@." Soak.pp_run r;
-                r)
-              (indexed points))
-          (indexed schedules))
-      (indexed backends)
-  in
-  let json = Soak.matrix_to_json ~seed runs in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc
-  | None -> print_endline json);
-  let fails = Soak.failures runs in
-  Printf.eprintf "soak: %d runs, %d failures\n" (List.length runs)
-    (List.length fails);
-  if fails = [] then 0 else 1
-
-let soak_cmd =
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:
-         "Sweep crash points x device-fault schedules x backends; recover \
-          and fsck after each run and emit a JSON report.")
-    Term.(
-      const soak
-      $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed.")
-      $ Arg.(
-          value & opt int 400
-          & info [ "steps" ] ~doc:"Workload steps per run.")
-      $ Arg.(
-          value & opt string "all"
-          & info [ "points" ]
-              ~doc:
-                "Crash points: $(b,all), $(b,none), or a comma-separated \
-                 list of point names.")
-      $ Arg.(
-          value & opt string "all"
-          & info [ "schedules" ]
-              ~doc:
-                "Fault schedules: $(b,all) or a comma-separated subset of \
-                 quiet, transient, stuck, offline.")
-      $ Arg.(
-          value & opt string "all"
-          & info [ "backends" ]
-              ~doc:
-                "Backends: $(b,all) or a comma-separated subset of flat, \
-                 striped4.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "out" ] ~doc:"Write the JSON report to this file."))
-
-(* ---- monitor: replicated failure-monitor demo ---- *)
-
-let monitor_demo replicas seconds interval kill_leader kill_writer seed =
-  if replicas < 1 then begin
-    Printf.eprintf "need at least one replica\n";
-    2
-  end
-  else if kill_writer then begin
-    (* Deterministic KV failover: writer killed mid-quiesce, registry
-       journaled by recovery, parked records adopted by a successor. *)
-    let k = Cxlshm_kv.Kv_soak.writer_kill_adopt ~seed () in
-    Format.printf "writer-kill adoption: %a@." Cxlshm_kv.Kv_soak.pp_report k;
-    if
-      k.Cxlshm_kv.Kv_soak.ka_writer_crashed
-      && k.ka_journaled > 0 && k.ka_adopted = k.ka_journaled
-      && k.ka_pinned_freed = 0 && k.ka_clean
-    then begin
-      Printf.printf
-        "monitor journaled the dead writer's parked records and the \
-         successor adopted them era-gated\n";
-      0
-    end
-    else 1
-  end
-  else if kill_leader then begin
-    (* Deterministic control-plane failover: hung client, leader killed
-       mid-recovery, follower takeover, full device drain. *)
-    let f = Soak.monitor_kill ~seed () in
-    Format.printf "monitor-kill failover: %a@." Soak.pp_failover f;
-    if
-      f.Soak.leader_crashed && f.Soak.follower_finished
-      && f.Soak.live_segments_left = 0 && f.Soak.fo_clean
-    then begin
-      Printf.printf
-        "follower deposed the dead leader, finished its recovery and \
-         drained the degraded device\n";
-      0
-    end
-    else 1
-  end
-  else begin
-    (* Live replicas in their own domains racing to reap a silent client. *)
-    let cfg =
-      {
-        Config.small with
-        Config.backend =
-          Cxlshm_shmem.Mem.Striped { devices = 4; stripe_words = 0; tiers = [||] };
-      }
-    in
-    let arena = Shm.create ~cfg () in
-    let a = Shm.join arena () in
-    let b = Shm.join arena () in
-    let _graph = List.init 5 (fun _ -> Shm.cxl_malloc a ~size_bytes:16 ()) in
-    Printf.printf "clients %d (going silent) and %d (heartbeating), %d replica(s)\n"
-      a.Ctx.cid b.Ctx.cid replicas;
-    let mons = List.init replicas (fun i -> Shm.monitor arena ~id:i ()) in
-    let handles = List.map (fun m -> Monitor.run_in_domain m ~interval) mons in
-    let svc = Shm.service_ctx arena in
-    let deadline = Unix.gettimeofday () +. seconds in
-    let rec wait () =
-      if Client.status svc ~cid:a.Ctx.cid = Client.Slot_free then true
-      else if Unix.gettimeofday () > deadline then false
-      else begin
-        Client.heartbeat b;
-        Unix.sleepf (interval /. 2.);
-        wait ()
-      end
-    in
-    let recovered = wait () in
-    List.iter2 (fun h m -> ignore (Monitor.stop_and_join h m)) handles mons;
-    List.iter
-      (fun m ->
-        Printf.printf
-          "replica %d: leader=%b death-dumps=%d loop-errors=%d\n"
-          (Monitor.id m) (Monitor.is_leader m)
-          (List.length (Monitor.death_dumps m))
-          (Monitor.error_count m))
-      mons;
-    Shm.leave b;
-    ignore (Shm.scan_leaking arena);
-    let v = Shm.validate arena in
-    Printf.printf "silent client %s; validation %s\n"
-      (if recovered then "recovered" else "NOT recovered")
-      (if Validate.is_clean v then "clean" else "DIRTY");
-    if recovered && Validate.is_clean v then 0 else 1
-  end
-
-let monitor_cmd =
-  Cmd.v
-    (Cmd.info "monitor"
-       ~doc:
-         "Run replicated failure monitors over a demo arena. By default \
-          spawns $(b,--replicas) live replica loops that race to reap a \
-          silent client. With $(b,--kill-leader), runs the deterministic \
-          failover story instead: a hung client under load, the leader \
-          replica killed mid-recovery, the follower deposing it, finishing \
-          the recovery and draining a fully-degraded device. With \
-          $(b,--kill-writer), runs the KV adoption drill: a writer killed \
-          mid-quiesce, its parked-record registry journaled by recovery \
-          and adopted era-gated by a successor.")
-    Term.(
-      const monitor_demo
-      $ Arg.(
-          value & opt int 2
-          & info [ "replicas" ] ~doc:"Monitor replicas to run.")
-      $ Arg.(
-          value & opt float 5.0
-          & info [ "seconds" ] ~doc:"Detection deadline (live mode).")
-      $ Arg.(
-          value & opt float 0.01
-          & info [ "interval" ] ~doc:"Replica pass interval in seconds.")
-      $ Arg.(
-          value & flag
-          & info [ "kill-leader" ]
-              ~doc:"Deterministic leader-kill failover scenario.")
-      $ Arg.(
-          value & flag
-          & info [ "kill-writer" ]
-              ~doc:
-                "Deterministic KV writer-kill adoption scenario (crash \
-                 mid-quiesce, registry journaled, successor adopts).")
-      $ Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Failover workload seed."))
-
-(* ---- evacuate: drain live data off a degraded device ---- *)
-
-let evacuate_demo objects devices degrade seed =
-  if degrade < 0 || degrade >= devices then begin
-    Printf.eprintf "--degrade must name one of the %d devices\n" devices;
-    2
-  end
-  else begin
-    let cfg =
-      {
-        Config.small with
-        Config.backend =
-          Cxlshm_shmem.Mem.Striped { devices; stripe_words = 0; tiers = [||] };
-      }
-    in
-    let arena = Shm.create ~cfg () in
-    let svc = Shm.service_ctx arena in
-    let a = Shm.join arena () in
-    let b = Shm.join arena () in
-    let rng = Random.State.make [| 0x65766163; seed |] in
-    let held = ref [] in
-    for i = 1 to objects do
-      let c = if i mod 2 = 0 then a else b in
-      let r =
-        Shm.cxl_malloc c
-          ~size_bytes:(8 + Random.State.int rng 48)
-          ~emb_cnt:(Random.State.int rng 2)
-          ()
-      in
-      Cxl_ref.write_word r (Cxl_ref.emb_cnt r) i;
-      (match !held with
-      | (p, _) :: _
-        when Cxl_ref.ctx p == c && Cxl_ref.emb_cnt p > 0
-             && Cxl_ref.get_emb p 0 = 0 ->
-          Cxl_ref.set_emb p 0 r
-      | _ -> ());
-      held := (r, i) :: !held
-    done;
-    let before = List.length (Evacuate.live_segments_on svc ~dev:degrade) in
-    Printf.printf "%d objects over %d devices; device %d holds %d live segment(s)\n"
-      objects devices degrade before;
-    Ctx.mark_degraded svc degrade;
-    (* owners move their own RootRef blocks, then the monitor-side sweep
-       takes the data *)
-    let patch c rep =
-      held :=
-        List.map
-          (fun (r, i) ->
-            if Cxl_ref.ctx r == c then
-              match
-                List.assoc_opt (Cxl_ref.rootref r) rep.Evacuate.remapped
-              with
-              | Some rr2 -> (Cxl_ref.of_rootref c rr2, i)
-              | None -> (r, i)
-            else (r, i))
-          !held
-    in
-    List.iter
-      (fun c ->
-        let rep = Evacuate.relocate_own c in
-        Format.printf "relocate cid %d: %a@." c.Ctx.cid Evacuate.pp_report rep;
-        patch c rep)
-      [ a; b ];
-    let rep = Shm.evacuate arena in
-    Format.printf "sweep: %a@." Evacuate.pp_report rep;
-    let left = Evacuate.live_segments_on svc ~dev:degrade in
-    Printf.printf "device %d live segments after drain: %d\n" degrade
-      (List.length left);
-    let intact =
-      List.for_all (fun (r, i) -> Cxl_ref.read_word r (Cxl_ref.emb_cnt r) = i) !held
-    in
-    Printf.printf "payloads %s\n" (if intact then "intact" else "CORRUPTED");
-    List.iter (fun (r, _) -> Cxl_ref.drop r) !held;
-    Shm.leave a;
-    Shm.leave b;
-    Ctx.clear_degraded svc;
-    ignore (Shm.scan_leaking arena);
-    let v = Shm.validate arena in
-    Printf.printf "validation %s\n" (if Validate.is_clean v then "clean" else "DIRTY");
-    if left = [] && intact && Validate.is_clean v then 0 else 1
-  end
-
-let evacuate_cmd =
-  Cmd.v
-    (Cmd.info "evacuate"
-       ~doc:
-         "Populate a striped demo arena, mark one device degraded, and \
-          drain every live block off it: owners relocate their RootRef \
-          blocks, the monitor-side sweep moves the data, and the run \
-          passes when zero live segments remain on the device and every \
-          payload survived the move.")
-    Term.(
-      const evacuate_demo
-      $ Arg.(
-          value & opt int 60
-          & info [ "objects" ] ~doc:"Objects to allocate before draining.")
-      $ devices_arg
-      $ Arg.(
-          value & opt int 0 & info [ "degrade" ] ~doc:"Device to degrade.")
-      $ Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed."))
-
 (* ---- serve: production-style KV serving harness (SLO gate) ---- *)
 
 module Serve = Cxlshm_serve.Serve
@@ -1101,52 +675,20 @@ module Check_explore = Cxlshm_check.Explore
 module Check_scenarios = Cxlshm_check.Scenarios
 module Check_schedule = Cxlshm_check.Schedule
 
-let explore_model_of_name ~capacity ~values ~rounds name =
-  match name with
-  | "spsc" -> Check_scenarios.spsc ?capacity ?values ()
-  | "transfer" -> Check_scenarios.transfer ?capacity ?values ()
-  | "transfer-batch" ->
-      Check_scenarios.transfer ?capacity ?values ~batched:true ()
-  | "refc" -> Check_scenarios.refc ?rounds ()
-  | "huge" -> Check_scenarios.huge ?rounds ()
-  | "epoch-retire" -> Check_scenarios.epoch_retire ?rounds ()
-  | "sharded-alloc" -> Check_scenarios.sharded_alloc ?values ()
-  | "lease" -> Check_scenarios.lease ?passes:rounds ()
-  | "dual-monitor" -> Check_scenarios.dual_monitor ?passes:rounds ()
-  | "evacuate" -> Check_scenarios.evacuate ?rounds ()
-  | "kv-serve" -> Check_scenarios.kv_serve ()
-  | "kv-serve-recover" -> Check_scenarios.kv_serve_recover ()
-  | "rpc-isolate" -> Check_scenarios.rpc_isolate ()
-  | n ->
-      Printf.eprintf
-        "unknown model %s (have: spsc, transfer, transfer-batch, refc, huge, \
-         epoch-retire, sharded-alloc, lease, dual-monitor, evacuate, \
-         kv-serve, kv-serve-recover, rpc-isolate)\n"
-        n;
-      exit 2
-
-let set_mutation = function
-  | "none" -> ()
-  | "spsc-pop" -> Cxlshm_spsc.Spsc_queue.mutation_unfenced_pop := true
-  | "transfer-head" -> Cxlshm.Transfer.mutation_unfenced_advance := true
-  | "kv-quiesce" -> Cxlshm_kv.Cxl_kv.mutation_unconditional_quiesce := true
-  | "kv-crash-reap" -> Cxlshm.Recovery.mutation_crash_reap := true
-  | "kv-park-hw-late" -> Cxlshm_kv.Cxl_kv.mutation_park_hw_late := true
-  | "rpc-skip-validate" -> Cxlshm_rpc.Cxl_rpc.mutation_skip_validate := true
-  | "rpc-unfenced-status" ->
-      Cxlshm_rpc.Cxl_rpc.mutation_unfenced_status := true
-  | m ->
-      Printf.eprintf
-        "unknown mutation %s (have: none, spsc-pop, transfer-head, \
-         kv-quiesce, kv-crash-reap, kv-park-hw-late, rpc-skip-validate, \
-         rpc-unfenced-status)\n"
-        m;
-      exit 2
+let model_names =
+  String.concat ","
+    (List.map (fun m -> m.Check_explore.name) (Check_scenarios.all ()))
 
 let explore models mode seed schedules preemptions no_crash max_steps capacity
     values rounds mutate replay log =
   let crash = not no_crash in
-  set_mutation mutate;
+  Option.iter (fun flag -> flag := true) mutate;
+  let find_model name =
+    try Check_scenarios.find ?capacity ?values ?rounds name
+    with Invalid_argument m ->
+      prerr_endline m;
+      exit 2
+  in
   let log_oc =
     Option.map
       (fun f -> open_out_gen [ Open_append; Open_creat ] 0o644 f)
@@ -1164,9 +706,7 @@ let explore models mode seed schedules preemptions no_crash max_steps capacity
     match replay with
     | Some sched_str ->
         let s = Check_schedule.of_string sched_str in
-        let m =
-          explore_model_of_name ~capacity ~values ~rounds s.Check_schedule.model
-        in
+        let m = find_model s.Check_schedule.model in
         let r = Check_explore.replay m ~max_steps s in
         let replayed =
           Check_schedule.to_string
@@ -1191,7 +731,7 @@ let explore models mode seed schedules preemptions no_crash max_steps capacity
         let failures = ref [] in
         List.iter
           (fun name ->
-            let m = explore_model_of_name ~capacity ~values ~rounds name in
+            let m = find_model name in
             let report =
               match mode with
               | "random" ->
@@ -1231,10 +771,7 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "Model-check the concurrent protocols: run the built-in models \
-          (spsc, transfer, transfer-batch, refc, huge, epoch-retire, \
-          sharded-alloc, lease, dual-monitor, evacuate, kv-serve, \
-          kv-serve-recover, rpc-isolate) under a controlled cooperative \
-          scheduler \
+          (see $(b,--model)) under a controlled cooperative scheduler \
           with seeded-random, PCT, or bounded-preemption exhaustive \
           exploration and optional crash injection at any yield point. \
           Every failure prints a schedule string that $(b,--replay) \
@@ -1243,8 +780,7 @@ let explore_cmd =
       const explore
       $ Arg.(
           value
-          & opt string
-              "spsc,transfer,transfer-batch,refc,huge,epoch-retire,sharded-alloc,lease,dual-monitor,evacuate,kv-serve,kv-serve-recover,rpc-isolate"
+          & opt string model_names
           & info [ "model" ] ~doc:"Comma-separated models to explore.")
       $ Arg.(
           value & opt string "random"
@@ -1279,14 +815,21 @@ let explore_cmd =
           & opt (some int) None
           & info [ "rounds" ] ~doc:"Alloc/free rounds override (refc).")
       $ Arg.(
-          value & opt string "none"
+          value
+          & opt
+              (enum
+                 (("none", None)
+                 :: List.map (fun (n, flag) -> (n, Some flag))
+                      Check_scenarios.mutations))
+              None
           & info [ "mutate" ]
               ~doc:
-                "Re-introduce a historical ordering bug before exploring: \
-                 $(b,spsc-pop), $(b,transfer-head), $(b,kv-quiesce), \
-                 $(b,kv-crash-reap), $(b,kv-park-hw-late), \
-                 $(b,rpc-skip-validate) or \
-                 $(b,rpc-unfenced-status) (self-check).")
+                ("Re-introduce a historical ordering bug before exploring \
+                  (self-check): "
+                ^ String.concat ", "
+                    (List.map (fun (n, _) -> "$(b," ^ n ^ ")")
+                       Check_scenarios.mutations)
+                ^ "."))
       $ Arg.(
           value
           & opt (some string) None
@@ -1309,12 +852,8 @@ let () =
             validate_cmd;
             dump_cmd;
             fsck_cmd;
-            soak_cmd;
-            monitor_cmd;
-            evacuate_cmd;
             trace_cmd;
             top_cmd;
             serve_cmd;
-            rpc_cmd;
             explore_cmd;
           ]))

@@ -932,16 +932,29 @@ let rpc_isolate () : Explore.model =
 
 (* ---- registry ---- *)
 
-let all () =
-  [ spsc (); transfer (); transfer ~batched:true (); refc (); huge ();
-    epoch_retire (); sharded_alloc (); lease (); dual_monitor ();
-    evacuate (); kv_serve (); kv_serve_recover (); rpc_isolate () ]
+let all ?capacity ?values ?rounds () =
+  [ spsc ?capacity ?values (); transfer ?capacity ?values ();
+    transfer ?capacity ?values ~batched:true (); refc ?rounds ();
+    huge ?rounds (); epoch_retire ?rounds (); sharded_alloc ?values ();
+    lease ?passes:rounds (); dual_monitor ?passes:rounds ();
+    evacuate ?rounds (); kv_serve (); kv_serve_recover (); rpc_isolate () ]
 
-let find name =
-  match List.find_opt (fun m -> m.Explore.name = name) (all ()) with
+let find ?capacity ?values ?rounds name =
+  let models = all ?capacity ?values ?rounds () in
+  match List.find_opt (fun m -> m.Explore.name = name) models with
   | Some m -> m
   | None ->
       invalid_arg
         (Printf.sprintf "unknown model %s (have: %s)" name
-           (String.concat ", "
-              (List.map (fun m -> m.Explore.name) (all ()))))
+           (String.concat ", " (List.map (fun m -> m.Explore.name) models)))
+
+let mutations =
+  [
+    ("spsc-pop", Spsc.mutation_unfenced_pop);
+    ("transfer-head", Transfer.mutation_unfenced_advance);
+    ("kv-quiesce", Cxlshm_kv.Cxl_kv.mutation_unconditional_quiesce);
+    ("kv-crash-reap", Recovery.mutation_crash_reap);
+    ("kv-park-hw-late", Cxlshm_kv.Cxl_kv.mutation_park_hw_late);
+    ("rpc-skip-validate", Cxlshm_rpc.Cxl_rpc.mutation_skip_validate);
+    ("rpc-unfenced-status", Cxlshm_rpc.Cxl_rpc.mutation_unfenced_status);
+  ]

@@ -96,7 +96,14 @@ val rpc_isolate : unit -> Explore.model
     missing validation walk / unfenced completion publish, which this model
     must catch. Model name ["rpc-isolate"]. *)
 
-val all : unit -> Explore.model list
+val all : ?capacity:int -> ?values:int -> ?rounds:int -> unit -> Explore.model list
+(** Every model, with the size overrides applied where a model takes them:
+    [capacity]/[values] to [spsc]/[transfer], [values] to [sharded-alloc],
+    [rounds] to the round- and pass-counted models. *)
 
-val find : string -> Explore.model
-(** Raises [Invalid_argument] for an unknown model name. *)
+val find : ?capacity:int -> ?values:int -> ?rounds:int -> string -> Explore.model
+(** Raises [Invalid_argument] naming every model for an unknown name. *)
+
+val mutations : (string * bool ref) list
+(** The historical ordering bugs the models must catch, by name, each
+    behind its test-only flag. *)

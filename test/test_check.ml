@@ -301,8 +301,34 @@ let test_unmutated_models_pass () =
   | None -> ()
   | Some f -> Alcotest.failf "unmutated rpc-isolate failed: %s" f.Explore.reason
 
+(* ---- registry ---- *)
+
+let test_registry_names () =
+  (* the names the CI mutation self-checks pass to [--mutate] *)
+  List.iter
+    (fun name ->
+      match List.assoc_opt name Scenarios.mutations with
+      | Some flag -> Alcotest.(check bool) (name ^ " off") false !flag
+      | None -> Alcotest.failf "mutation %s not registered" name)
+    [ "spsc-pop"; "transfer-head"; "kv-quiesce"; "kv-crash-reap";
+      "kv-park-hw-late"; "rpc-skip-validate"; "rpc-unfenced-status" ];
+  List.iter
+    (fun m ->
+      Alcotest.(check string) "find by name" m.Explore.name
+        (Scenarios.find m.Explore.name).Explore.name)
+    (Scenarios.all ());
+  match Scenarios.find "no-such-model" with
+  | _ -> Alcotest.fail "unknown model accepted"
+  | exception Invalid_argument msg ->
+      List.iter
+        (fun m ->
+          if not (string_contains msg m.Explore.name) then
+            Alcotest.failf "error %S does not list %s" msg m.Explore.name)
+        (Scenarios.all ())
+
 let suite =
   [
+    Alcotest.test_case "model and mutation registry" `Quick test_registry_names;
     Alcotest.test_case "schedule string roundtrip" `Quick
       test_schedule_roundtrip;
     Alcotest.test_case "replay is deterministic" `Quick

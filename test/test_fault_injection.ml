@@ -3,102 +3,29 @@
    recover and check the arena for leaks, double frees and wild pointers. *)
 
 open Cxlshm
+module Soak = Cxlshm_check.Soak
+module Drills = Cxlshm_check.Drills
 
-(* A deterministic workload: clients allocate, clone, link embedded refs,
-   re-point them, exchange references through queues, and release — the
-   full §5 surface. Returns when [steps] operations ran or a client
-   crashed. *)
+(* A deterministic run of the soak workload ({!Soak.step}) on the quiet
+   flat backend. Returns when [steps] operations ran or a client crashed. *)
 let run_workload ~seed ~steps ~(plan : int -> Fault.plan) =
   let arena = Shm.create ~cfg:Config.small () in
   let n_clients = 3 in
   let clients = Array.init n_clients (fun _ -> Shm.join arena ()) in
   Array.iteri (fun i c -> c.Ctx.fault <- plan i) clients;
-  let rng = Random.State.make [| seed |] in
-  let held = Array.make n_clients [] in
-  (* Reference counting cannot collect cycles (a limitation the paper
-     inherits), so the workload keeps the object graph acyclic: an embedded
-     link is only created from an older object to a newer one. *)
-  let birth : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let birth_counter = ref 0 in
-  let stamp obj = try Hashtbl.find birth obj with Not_found -> max_int in
-  let send_queues : (int * int, Transfer.t) Hashtbl.t = Hashtbl.create 8 in
-  let recv_queues : (int * int, Transfer.t) Hashtbl.t = Hashtbl.create 8 in
+  let st = Soak.workload ~rng:(Random.State.make [| seed |]) clients in
   let crashed = ref None in
-  let step who =
-    let c = clients.(who) in
-    match Random.State.int rng 8 with
-    | 0 | 1 ->
-        let emb = Random.State.int rng 3 in
-        let r = Shm.cxl_malloc c ~size_bytes:(8 + Random.State.int rng 56) ~emb_cnt:emb () in
-        incr birth_counter;
-        Hashtbl.replace birth (Cxl_ref.obj r) !birth_counter;
-        held.(who) <- r :: held.(who)
-    | 2 -> (
-        match held.(who) with
-        | r :: _ -> held.(who) <- Cxl_ref.clone r :: held.(who)
-        | [] -> ())
-    | 3 -> (
-        match held.(who) with
-        | r :: rest ->
-            held.(who) <- rest;
-            Cxl_ref.drop r
-        | [] -> ())
-    | 4 -> (
-        (* link an embedded ref parent -> child *)
-        match held.(who) with
-        | p :: ch :: _
-          when Cxl_ref.emb_cnt p > 0
-               && stamp (Cxl_ref.obj p) < stamp (Cxl_ref.obj ch) ->
-            let i = Random.State.int rng (Cxl_ref.emb_cnt p) in
-            if Cxl_ref.get_emb p i = 0 then Cxl_ref.set_emb p i ch
-            else if stamp (Cxl_ref.get_emb p i) < stamp (Cxl_ref.obj ch) then
-              Cxl_ref.change_emb p i ch
-        | _ -> ())
-    | 5 -> (
-        match held.(who) with
-        | p :: _ when Cxl_ref.emb_cnt p > 0 ->
-            Cxl_ref.clear_emb p (Random.State.int rng (Cxl_ref.emb_cnt p))
-        | _ -> ())
-    | 6 -> (
-        (* send to a random other client *)
-        let peer = (who + 1 + Random.State.int rng (n_clients - 1)) mod n_clients in
-        match held.(who) with
-        | r :: _ ->
-            let q =
-              match Hashtbl.find_opt send_queues (who, peer) with
-              | Some q -> q
-              | None ->
-                  let q = Transfer.connect c ~receiver:clients.(peer).Ctx.cid ~capacity:4 in
-                  Hashtbl.replace send_queues (who, peer) q;
-                  q
-            in
-            ignore (Transfer.send q r)
-        | [] -> ())
-    | 7 -> (
-        (* receive from a random sender *)
-        let peer = (who + 1 + Random.State.int rng (n_clients - 1)) mod n_clients in
-        match Hashtbl.find_opt recv_queues (peer, who) with
-        | Some q -> (
-            match Transfer.receive q with
-            | Transfer.Received r -> held.(who) <- r :: held.(who)
-            | Transfer.Empty | Transfer.Drained -> ())
-        | None -> (
-            match Transfer.open_from c ~sender:clients.(peer).Ctx.cid with
-            | Some q -> Hashtbl.replace recv_queues (peer, who) q
-            | None -> ()))
-    | _ -> ()
-  in
   (try
      for s = 0 to steps - 1 do
        (* Every shared-memory effect in a step belongs to the stepping
           client, so a Crashed exception identifies it. *)
-       try step (s mod n_clients)
+       try Soak.step st (s mod n_clients)
        with Fault.Crashed p -> raise (Fault.Crashed (Printf.sprintf "%d:%s" (s mod n_clients) p))
      done
    with Fault.Crashed tagged ->
      let who = int_of_string (List.hd (String.split_on_char ':' tagged)) in
      crashed := Some who);
-  (arena, clients, held, !crashed)
+  (arena, clients, Array.init n_clients (Soak.held st), !crashed)
 
 let finish_and_validate ~label (arena, clients, held, crashed) =
   let svc = Shm.service_ctx arena in
@@ -168,9 +95,37 @@ let test_random_crash_storm () =
       finish_and_validate ~label:(Printf.sprintf "storm seed %d" seed) r)
     [ 11; 12; 13; 14; 15 ]
 
+(* The CI soak configuration reaches at least these crash points; the
+   first eleven are every point the simple one-client drill once reached. *)
+let test_soak_coverage () =
+  let runs = Soak.run_matrix ~seed:1 ~steps:400 in
+  let unreached = Soak.unreached_points runs in
+  List.iter
+    (fun p ->
+      if List.mem p unreached then Alcotest.failf "crash point %s unreached" p)
+    [ "alloc-after-rootref"; "alloc-after-link"; "alloc-after-advance";
+      "alloc-after-header"; "txn-after-redo"; "txn-after-cas";
+      "txn-after-modify-ref"; "release-before-reclaim"; "release-mid-reclaim";
+      "slowpath-after-page-claim"; "slowpath-after-segment-claim";
+      "change-after-first-cas"; "change-after-modify-ref"; "send-after-attach";
+      "recv-after-attach"; "recv-after-detach"; "recv-after-advance" ];
+  Alcotest.(check int) "no failing run" 0 (List.length (Soak.failures runs))
+
+let test_every_drill_passes () =
+  List.iter
+    (fun d ->
+      let r = d.Drills.run ~seed:d.Drills.seed in
+      if not r.Drills.pass then
+        Alcotest.failf "drill %s failed: %s" d.Drills.name r.Drills.report)
+    (Drills.all ())
+
 let suite =
   [
     Alcotest.test_case "baseline (no crash)" `Quick test_no_crash_baseline;
     Alcotest.test_case "crash sweep" `Slow test_crash_sweep;
     Alcotest.test_case "random crash storm" `Quick test_random_crash_storm;
+    Alcotest.test_case "soak reaches the drill crash points" `Quick
+      test_soak_coverage;
+    Alcotest.test_case "every drill passes at its default seed" `Quick
+      test_every_drill_passes;
   ]

@@ -6,6 +6,7 @@
    schedule x both backends, zero post-fsck failures. *)
 
 open Cxlshm
+module Soak = Cxlshm_check.Soak
 module Mem = Cxlshm_shmem.Mem
 
 let mem_lay arena = (Shm.mem arena, Shm.layout arena)
@@ -196,7 +197,7 @@ let test_damaged_image_roundtrip () =
 (* The headline guarantee: every crash point x every device-fault
    schedule x both backends recovers to a clean arena. *)
 let test_soak_matrix () =
-  let runs = Soak.run_matrix ~seed:20250806 ~steps:150 () in
+  let runs = Soak.run_matrix ~seed:20250806 ~steps:150 in
   Alcotest.(check int) "full matrix size"
     (2 * List.length Soak.default_schedules * (1 + List.length Fault.all_points))
     (List.length runs);
