@@ -11,7 +11,10 @@
      dune exec bench/main.exe -- --only fig6-threadtest
      dune exec bench/main.exe -- --full       (larger sweeps)
      dune exec bench/main.exe -- --bechamel   (Bechamel micro-benchmarks)
-     dune exec bench/main.exe -- --list                                    *)
+     dune exec bench/main.exe -- --list
+     dune exec bench/main.exe -- --only rpc --gate BASELINE
+                                              (compare with a committed report)
+     dune build @bench-gate                   (every report vs its baseline) *)
 
 open Cxlshm
 module Mem = Cxlshm_shmem.Mem
@@ -22,6 +25,7 @@ module Spsc = Cxlshm_spsc.Spsc_queue
 module Runner = Cxlshm_bench_util.Runner
 module Table = Cxlshm_bench_util.Table
 module Workloads = Cxlshm_bench_util.Workloads
+module Report = Cxlshm_bench_util.Bench_report
 module Mim = Cxlshm_allocators.Local_mimalloc
 module Jem = Cxlshm_allocators.Local_jemalloc
 module Ral = Cxlshm_allocators.Ralloc
@@ -606,9 +610,9 @@ let rdma_fan_in ~n ~calls ~payload_bytes =
 
 (* Zero-copy RPC vs RDMA across payload sizes and fan-in. The isolation
    walk (validate every embedded reference stays in-channel) is part of
-   the measured serve path, so BENCH_rpc.json doubles as a regression
-   baseline for its cost. The run aborts if the zero-copy win fails to
-   widen monotonically with payload size — references move, bytes don't. *)
+   the measured serve path, so the rpc report's gate covers its cost. The
+   run aborts if the zero-copy win fails to widen monotonically with
+   payload size — references move, bytes don't. *)
 let bench_rpc () =
   let model = Latency.of_tier Latency.Cxl in
   let calls = quick 2_000 300 in
@@ -670,29 +674,25 @@ let bench_rpc () =
       fanins
   in
   Table.print tf;
-  let oc = open_out "BENCH_rpc.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"rpc\",\n  \"calls\": %d,\n  \"payload\": [\n" calls;
-  List.iteri
-    (fun i (size, cxl, rdma) ->
-      Printf.fprintf oc
-        "    {\"bytes\": %d, \"cxl_ns_per_call\": %.2f, \"rdma_ns_per_call\": \
-         %.2f, \"speedup\": %.3f}%s\n"
-        size cxl rdma (rdma /. cxl)
-        (if i = List.length payload_rows - 1 then "" else ","))
-    payload_rows;
-  Printf.fprintf oc "  ],\n  \"fanin\": [\n";
-  List.iteri
-    (fun i (n, ck, rk) ->
-      Printf.fprintf oc
-        "    {\"clients\": %d, \"cxl_kops\": %.2f, \"rdma_kops\": %.2f, \
-         \"speedup\": %.3f}%s\n"
-        n ck rk (ck /. rk)
-        (if i = List.length fan_rows - 1 then "" else ","))
-    fan_rows;
-  Printf.fprintf oc "  ],\n  \"speedup_widens_with_size\": %b\n}\n" widens;
-  close_out oc;
-  print_endline "wrote BENCH_rpc.json"
+  let m = Report.metric in
+  List.concat_map
+    (fun (size, cxl, rdma) ->
+      let p = Printf.sprintf "payload.%d." size in
+      [
+        m ~gated:true (p ^ "cxl_ns_per_call") cxl ~unit:"ns" Lower;
+        m (p ^ "rdma_ns_per_call") rdma ~unit:"ns" Lower;
+        m (p ^ "speedup") (rdma /. cxl) ~unit:"x" Higher;
+      ])
+    payload_rows
+  @ List.concat_map
+      (fun (n, ck, rk) ->
+        let p = Printf.sprintf "fanin.%d." n in
+        [
+          m ~gated:true (p ^ "cxl_kops") ck ~unit:"kop/s" Higher;
+          m (p ^ "rdma_kops") rk ~unit:"kop/s" Higher;
+          m (p ^ "speedup") (ck /. rk) ~unit:"x" Higher;
+        ])
+      fan_rows
 
 (* ------------------------------------------------------------------ *)
 (* Fig 9: CXL-MapReduce vs Phoenix                                     *)
@@ -1630,7 +1630,8 @@ let bechamel_suite () =
    pool with one DRAM-class device among CXL expanders: the first joiner's
    home device (cid 0 -> device 0) is the near device in one case and a far
    one in the other, with the difference carried by the xdev counters.
-   Results also land in BENCH_backends.json for machines to read. *)
+   Results also land in BENCH_backends.json for machines to read; the
+   disabled-trace overhead there is limited to 5%. *)
 let bench_backends () =
   let striped devices tiers = Mem.Striped { devices; stripe_words = 0; tiers } in
   let cases =
@@ -1749,52 +1750,43 @@ let bench_backends () =
      %+.1f%% wall when enabled; modeled clock identical: %b\n"
     span_branch_ns spans_per_round disabled_overhead_pct enabled_overhead_pct
     clock_identical;
-  let percentiles_json hists =
-    let parts =
-      List.filter_map
-        (fun op ->
-          let h = hists.(Histogram.op_index op) in
-          if Histogram.count h = 0 then None
-          else
-            Some
-              (Printf.sprintf
-                 "\"%s\": {\"count\": %d, \"p50\": %.1f, \"p95\": %.1f, \
-                  \"p99\": %.1f}"
-                 (Histogram.op_name op) (Histogram.count h) (Histogram.p50 h)
-                 (Histogram.p95 h) (Histogram.p99 h)))
-        Histogram.all_ops
-    in
-    "{" ^ String.concat ", " parts ^ "}"
-  in
-  let oc = open_out "BENCH_backends.json" in
-  Printf.fprintf oc "{\n  \"experiment\": \"backends\",\n  \"rounds\": %d,\n  \"results\": [\n"
-    rounds;
-  List.iteri
-    (fun i ((label, name, wall_ns, modeled_ns, xa, xns, _),
-            (_, _, _, _, _, _, hists_on)) ->
-      Printf.fprintf oc
-        "    {\"case\": %S, \"backend\": %S, \"ops\": %d, \"wall_ns\": %.0f, \
-         \"ops_per_sec\": %.0f, \"modeled_ns\": %.1f, \"modeled_ns_per_op\": \
-         %.2f, \"xdev_accesses\": %d, \"xdev_ns\": %.1f, \"percentiles\": \
-         %s}%s\n"
-        label name rounds wall_ns
+  if not clock_identical then
+    failwith "backends bench: tracing perturbed the modeled clock";
+  let m = Report.metric in
+  List.concat_map
+    (fun ((label, _, wall_ns, modeled_ns, xa, xns, _),
+          (_, _, _, _, _, _, hists_on)) ->
+      let p = label ^ "." in
+      m (p ^ "ops_per_sec")
         (float_of_int rounds /. (wall_ns /. 1e9))
-        modeled_ns
-        (modeled_ns /. float_of_int rounds)
-        xa xns
-        (percentiles_json hists_on)
-        (if i = List.length rows - 1 then "" else ","))
-    (List.combine rows rows_on);
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"trace\": {\"span_branch_ns\": %.3f, \"spans_per_round\": %.2f, \
-     \"disabled_trace_overhead_pct\": %.4f, \"enabled_overhead_pct\": %.2f, \
-     \"modeled_clock_identical\": %b}\n\
-     }\n"
-    span_branch_ns spans_per_round disabled_overhead_pct enabled_overhead_pct
-    clock_identical;
-  close_out oc;
-  Printf.printf "wrote BENCH_backends.json\n"
+        ~unit:"op/s" Higher
+      :: m (p ^ "modeled_ns_per_op")
+           (modeled_ns /. float_of_int rounds)
+           ~unit:"ns" Lower
+      :: m (p ^ "xdev_accesses") (float_of_int xa) ~unit:"count" Lower
+      :: m (p ^ "xdev_ns") xns ~unit:"ns" Lower
+      :: List.concat_map
+           (fun op ->
+             let h = hists_on.(Histogram.op_index op) in
+             if Histogram.count h = 0 then []
+             else
+               let q = p ^ Histogram.op_name op ^ "." in
+               [
+                 m (q ^ "count") (float_of_int (Histogram.count h))
+                   ~unit:"count" Lower;
+                 m (q ^ "p50") (Histogram.p50 h) ~unit:"ns" Lower;
+                 m (q ^ "p95") (Histogram.p95 h) ~unit:"ns" Lower;
+                 m (q ^ "p99") (Histogram.p99 h) ~unit:"ns" Lower;
+               ])
+           Histogram.all_ops)
+    (List.combine rows rows_on)
+  @ [
+      m "trace.span_branch_ns" span_branch_ns ~unit:"ns" Lower;
+      m "trace.spans_per_round" spans_per_round ~unit:"count" Lower;
+      m ~limit:5.0 "trace.disabled_trace_overhead_pct" disabled_overhead_pct
+        ~unit:"%" Lower;
+      m "trace.enabled_overhead_pct" enabled_overhead_pct ~unit:"%" Lower;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fast path: client-local cache tier + batched transfer               *)
@@ -1804,7 +1796,9 @@ let bench_backends () =
    reference transfer), measured on the counting backend with the cache
    tier off vs on, and single-message vs batched transfer. Words/op are
    raw backend word operations — deterministic, so the committed
-   BENCH_fastpath.json doubles as a regression baseline for CI. *)
+   BENCH_fastpath.json is an exact baseline. The epoch-on limits are
+   absolute modeled-cost ceilings for the full configuration (cache +
+   batched retirement + sharded class heads). *)
 let bench_fastpath () =
   let module Bc = Cxlshm_shmem.Backend_counting in
   let model = Latency.of_tier Latency.Cxl in
@@ -1940,79 +1934,158 @@ let bench_fastpath () =
     "epoch batching: alloc fences/op %.3f -> %.3f, transfer single \
      fences/op %.3f -> %.3f\n"
     af_on af_ep tf_on tf_ep;
-  let oc = open_out "BENCH_fastpath.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"fastpath\",\n\
-    \  \"rounds\": %d,\n\
-    \  \"batch\": %d,\n\
-    \  \"alloc\": {\n\
-    \    \"cache_off\": {\"words_per_op\": %.3f, \"fences_per_op\": %.3f, \
-     \"modeled_ns_per_op\": %.2f},\n\
-    \    \"cache_on\": {\"words_per_op\": %.3f, \"fences_per_op\": %.3f, \
-     \"modeled_ns_per_op\": %.2f},\n\
-    \    \"epoch_on\": {\"words_per_op\": %.3f, \"fences_per_op\": %.3f, \
-     \"modeled_ns_per_op\": %.2f},\n\
-    \    \"words_reduction_pct\": %.1f\n\
-    \  },\n\
-    \  \"transfer\": {\n\
-    \    \"single_cache_off\": {\"words_per_op\": %.3f, \"fences_per_op\": \
-     %.3f, \"modeled_ns_per_op\": %.2f},\n\
-    \    \"single_cache_on\": {\"words_per_op\": %.3f, \"fences_per_op\": \
-     %.3f, \"modeled_ns_per_op\": %.2f},\n\
-    \    \"single_epoch_on\": {\"words_per_op\": %.3f, \"fences_per_op\": \
-     %.3f, \"modeled_ns_per_op\": %.2f},\n\
-    \    \"batch_cache_on\": {\"words_per_op\": %.3f, \"fences_per_op\": \
-     %.3f, \"modeled_ns_per_op\": %.2f},\n\
-    \    \"batch_epoch_on\": {\"words_per_op\": %.3f, \"fences_per_op\": \
-     %.3f, \"modeled_ns_per_op\": %.2f},\n\
-    \    \"words_reduction_pct\": %.1f,\n\
-    \    \"batched_words_reduction_pct\": %.1f\n\
-    \  }\n\
-     }\n"
-    rounds batch aw_off af_off ans_off aw_on af_on ans_on aw_ep af_ep ans_ep
-    (red aw_off aw_on) tw_off tf_off tns_off tw_on tf_on tns_on tw_ep tf_ep
-    tns_ep bw_on bf_on bns_on bw_ep bf_ep bns_ep (red tw_off tw_on)
-    (red tw_off bw_on);
-  close_out oc;
-  Printf.printf "wrote BENCH_fastpath.json\n"
+  let m = Report.metric in
+  let path ?(gate_words = false) ?ns_limit ?fence_limit name (w, f, ns) =
+    [
+      m ~gated:gate_words (name ^ ".words_per_op") w ~unit:"words" Lower;
+      m ?limit:fence_limit (name ^ ".fences_per_op") f ~unit:"count" Lower;
+      m ?limit:ns_limit (name ^ ".modeled_ns_per_op") ns ~unit:"ns" Lower;
+    ]
+  in
+  List.concat
+    [
+      path "alloc.cache_off" (aw_off, af_off, ans_off);
+      path ~gate_words:true "alloc.cache_on" (aw_on, af_on, ans_on);
+      path ~ns_limit:150.0 ~fence_limit:(1.0 /. 8.0) "alloc.epoch_on"
+        (aw_ep, af_ep, ans_ep);
+      [ m ~limit:25.0 "alloc.words_reduction_pct" (red aw_off aw_on) ~unit:"%"
+          Higher ];
+      path "transfer.single_cache_off" (tw_off, tf_off, tns_off);
+      path ~gate_words:true "transfer.single_cache_on" (tw_on, tf_on, tns_on);
+      path ~ns_limit:300.0 "transfer.single_epoch_on" (tw_ep, tf_ep, tns_ep);
+      path ~gate_words:true "transfer.batch_cache_on" (bw_on, bf_on, bns_on);
+      path "transfer.batch_epoch_on" (bw_ep, bf_ep, bns_ep);
+      [
+        m "transfer.words_reduction_pct" (red tw_off tw_on) ~unit:"%" Higher;
+        m ~limit:25.0 "transfer.batched_words_reduction_pct" (red tw_off bw_on)
+          ~unit:"%" Higher;
+      ];
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* KV failover: the repository benchmark's write-churn workload         *)
+(* ------------------------------------------------------------------ *)
+
+(* One traced run of perfbench's kv-write-churn at seed 1 (open-loop
+   Poisson load over 4 writers + 2 readers, 20 writer crashes, each taken
+   over by a successor). Its modeled figures repeat bit for bit, so
+   BENCH_kv.json is an exact baseline for the per-class latency, the
+   per-call p99 of the four KV ops and the failover phases. perfbench's
+   oracle (shadow map, every crash recovered, Validate clean, traced run
+   = plain run) must hold first. *)
+let kv_churn_gated =
+  [
+    "kv.read_p99_ns"; "kv.write_p99_ns"; "kv.churn_p99_ns"; "kv.get.ns_p99";
+    "kv.put_cow.ns_p99"; "kv.put.ns_p99"; "kv.rmw.ns_p99";
+    "failover.detect_us_p50"; "failover.recover_us_p50";
+    "failover.drain_us_p50"; "failover.total_us_p50";
+  ]
+
+let bench_kv_churn () =
+  let r =
+    Perfbench.Bench.run ~workload:"kv-write-churn" ~seed:1 ~seconds:1.0
+      ~trace:true ~spans_dir:None
+  in
+  List.iter (Printf.printf "  ERROR %s\n") r.errors;
+  if not r.correct || r.failed <> 0 then
+    failwith
+      (Printf.sprintf "kv-churn: %d oracle errors, %d of %d ops failed"
+         (List.length r.errors) r.failed r.attempted);
+  let metrics =
+    List.map (fun n -> Report.pick r.metrics n Lower) kv_churn_gated
+  in
+  let t =
+    Table.create
+      ~title:(Printf.sprintf "perfbench kv-write-churn, seed 1: %d ops" r.attempted)
+      ~columns:[ "Metric"; "Value"; "Unit" ]
+  in
+  List.iter
+    (fun (m : Report.metric) ->
+      Table.add_row t [ m.name; Table.cell_f m.value; m.unit ])
+    metrics;
+  Table.print t;
+  metrics
 
 (* ------------------------------------------------------------------ *)
 
+(* A [Reported (name, f)] experiment returns its metrics; the harness
+   writes them to BENCH_<name>.json and, under --gate, compares them with
+   a committed report. *)
+type experiment =
+  | Plain of (unit -> unit)
+  | Reported of string * (unit -> Report.metric list)
+
 let experiments =
   [
-    ("table1", bench_table1);
-    ("fig6-threadtest", bench_fig6 `Threadtest "Fig 6 (left): Threadtest allocator throughput (MOPS)");
-    ("fig6-shbench", bench_fig6 `Shbench "Fig 6 (right): Shbench allocator throughput (MOPS)");
-    ("fig7", bench_fig7);
-    ("recovery", bench_recovery);
-    ("leak-scan", bench_leak_scan);
-    ("fig8-clients", bench_fig8_clients);
-    ("fig8-payload", bench_fig8_payload);
-    ("rpc", bench_rpc);
-    ("fig9-wordcount", bench_fig9_wordcount);
-    ("fig9-kmeans", bench_fig9_kmeans);
-    ("fig10a", bench_fig10a);
-    ("fig10b", bench_fig10b);
-    ("fig10c", bench_fig10c);
-    ("fig10d", bench_fig10d);
-    ("fault", bench_fault);
-    ("ablation-locking", bench_ablation_locking);
-    ("ablation-eadr", bench_ablation_eadr);
-    ("repartition", bench_repartition);
-    ("structures", bench_structures);
-    ("ycsb-presets", bench_ycsb_presets);
-    ("backends", bench_backends);
-    ("fastpath", bench_fastpath);
+    ("table1", Plain bench_table1);
+    ("fig6-threadtest", Plain (bench_fig6 `Threadtest "Fig 6 (left): Threadtest allocator throughput (MOPS)"));
+    ("fig6-shbench", Plain (bench_fig6 `Shbench "Fig 6 (right): Shbench allocator throughput (MOPS)"));
+    ("fig7", Plain bench_fig7);
+    ("recovery", Plain bench_recovery);
+    ("leak-scan", Plain bench_leak_scan);
+    ("fig8-clients", Plain bench_fig8_clients);
+    ("fig8-payload", Plain bench_fig8_payload);
+    ("rpc", Reported ("rpc", bench_rpc));
+    ("fig9-wordcount", Plain bench_fig9_wordcount);
+    ("fig9-kmeans", Plain bench_fig9_kmeans);
+    ("fig10a", Plain bench_fig10a);
+    ("fig10b", Plain bench_fig10b);
+    ("fig10c", Plain bench_fig10c);
+    ("fig10d", Plain bench_fig10d);
+    ("fault", Plain bench_fault);
+    ("ablation-locking", Plain bench_ablation_locking);
+    ("ablation-eadr", Plain bench_ablation_eadr);
+    ("repartition", Plain bench_repartition);
+    ("structures", Plain bench_structures);
+    ("ycsb-presets", Plain bench_ycsb_presets);
+    ("backends", Reported ("backends", bench_backends));
+    ("fastpath", Reported ("fastpath", bench_fastpath));
+    ("kv-churn", Reported ("kv", bench_kv_churn));
   ]
+
+let same_file a b =
+  Sys.file_exists a && Sys.file_exists b
+  &&
+  let sa = Unix.stat a and sb = Unix.stat b in
+  sa.Unix.st_dev = sb.Unix.st_dev && sa.Unix.st_ino = sb.Unix.st_ino
+
+(* The baseline is read before the run, and the fresh report may not
+   replace it: gating from the directory that holds the committed report
+   is refused rather than overwriting it. *)
+let run_experiment ~gate = function
+  | Plain f ->
+      if gate <> None then failwith "--gate: this experiment writes no report";
+      f ()
+  | Reported (name, f) ->
+      let out = Report.file name in
+      let baseline =
+        Option.map
+          (fun path ->
+            if same_file path out then
+              failwith
+                (Printf.sprintf
+                   "--gate %s: the fresh report would overwrite it; run from \
+                    another directory (dune build @bench-gate does)"
+                   path);
+            Report.read path)
+          gate
+      in
+      let r = { Report.report = name; metrics = f () } in
+      Report.write out r;
+      Option.iter (fun baseline -> Report.gate ~baseline r) baseline
 
 let () =
   let only = ref None in
+  let gate = ref None in
   let bechamel = ref false in
   let list_only = ref false in
   let args =
     [
       ("--only", Arg.String (fun s -> only := Some s), "ID  run one experiment");
+      ( "--gate",
+        Arg.String (fun s -> gate := Some s),
+        "BASELINE  compare the --only experiment's report with this committed \
+         report; fail beyond the 5% budget either way" );
       ("--full", Arg.Set full, " larger parameter sweeps");
       ("--bechamel", Arg.Set bechamel, " run Bechamel micro-benchmarks");
       ("--list", Arg.Set list_only, " list experiment ids");
@@ -2024,18 +2097,25 @@ let () =
   else begin
     let todo =
       match !only with
+      | None when !gate <> None ->
+          prerr_endline "--gate needs --only";
+          exit 1
       | None -> experiments
       | Some id -> (
           match List.assoc_opt id experiments with
-          | Some f -> [ (id, f) ]
+          | Some e -> [ (id, e) ]
           | None ->
               Printf.eprintf "unknown experiment %s; use --list\n" id;
               exit 1)
     in
     List.iter
-      (fun (id, f) ->
+      (fun (id, e) ->
         Printf.printf "\n---- %s ----\n%!" id;
-        let _, ns = Runner.time_wall f in
-        Printf.printf "   [%s took %.1f s]\n%!" id (ns /. 1e9))
+        match Runner.time_wall (fun () -> run_experiment ~gate:!gate e) with
+        | (), ns -> Printf.printf "   [%s took %.1f s]\n%!" id (ns /. 1e9)
+        | exception Failure msg ->
+            Printf.printf "%!";
+            Printf.eprintf "%s: %s\n" id msg;
+            exit 1)
       todo
   end

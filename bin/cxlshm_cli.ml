@@ -9,7 +9,6 @@
      fsck      verify (and optionally repair) a saved pool image
      trace     replay a client's event ring from a saved image
      top       per-op latency summary over every ring in a saved image
-     serve     open-loop KV serving run with churn and an SLO report
      explore   model-check the concurrent protocols (Cxlshm_check.Scenarios) *)
 
 open Cxlshm
@@ -510,165 +509,6 @@ let fsck_cmd =
           & info [ "out" ]
               ~doc:"Write the repaired image here instead of in place."))
 
-(* ---- serve: production-style KV serving harness (SLO gate) ---- *)
-
-module Serve = Cxlshm_serve.Serve
-
-(* accepts 1_000_000 the way OCaml literals do *)
-let uint_conv =
-  let parse s =
-    let stripped = String.concat "" (String.split_on_char '_' s) in
-    match int_of_string_opt stripped with
-    | Some v when v >= 0 -> Ok v
-    | _ -> Error (`Msg (Printf.sprintf "invalid non-negative integer %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let serve keys ops rate writers readers value_words theta dist churn_s seed
-    quiesce_every hb_every monitor_every read_f update_f insert_f rmw_f check
-    out =
-  let churn =
-    match churn_s with
-    | None -> Serve.default_churn ~ops
-    | Some s -> (
-        match Serve.churn_of_string s with
-        | Ok c -> c
-        | Error e ->
-            prerr_endline e;
-            exit 2)
-  in
-  let mix =
-    { Cxlshm_kv.Ycsb.read = read_f; update = update_f; insert = insert_f;
-      rmw = rmw_f }
-  in
-  let cfg =
-    {
-      Serve.keys;
-      ops;
-      rate_mops = rate;
-      writers;
-      readers;
-      value_words;
-      theta;
-      mix;
-      dist;
-      quiesce_every;
-      hb_every;
-      monitor_every;
-      churn;
-      seed;
-      final_check = check;
-    }
-  in
-  match Serve.run cfg with
-  | r ->
-      Format.printf "%a@." Serve.pp_report r;
-      Option.iter
-        (fun f ->
-          let oc = open_out f in
-          output_string oc (Serve.report_to_json r);
-          close_out oc;
-          Printf.printf "report written to %s\n" f)
-        out;
-      if r.Serve.all_recovered && (not check || r.Serve.check_errors = 0) then 0
-      else begin
-        if not r.Serve.all_recovered then
-          prerr_endline "serve: some crashed clients were never recovered";
-        if check && r.Serve.check_errors > 0 then
-          Printf.eprintf "serve: validator reported %d errors\n"
-            r.Serve.check_errors;
-        1
-      end
-  | exception Invalid_argument m ->
-      prerr_endline m;
-      2
-
-let serve_cmd =
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Production-style KV serving run with an SLO report: open-loop \
-          arrivals at a fixed offered rate over a zipf key population, \
-          sharded writers + readers, and a churn schedule (crashes, planned \
-          departures, joins) recovered by the lease monitor while the SLO \
-          clock keeps running. Prints p50/p95/p99 per op class, split into \
-          steady-state and during-churn buckets; $(b,--out) writes the JSON \
-          report CI gates on. Exit status 1 if any crashed client was never \
-          recovered (or $(b,--check) found errors).")
-    Term.(
-      const serve
-      $ Arg.(
-          value & opt uint_conv 100_000
-          & info [ "keys" ] ~doc:"Initial key population (underscores ok).")
-      $ Arg.(
-          value & opt uint_conv 50_000
-          & info [ "ops" ] ~doc:"Request arrivals in the measured run.")
-      $ Arg.(
-          value & opt float 2.0
-          & info [ "rate" ] ~doc:"Offered load in million ops per modeled \
-                                  second.")
-      $ Arg.(value & opt int 4 & info [ "writers" ] ~doc:"Writer clients \
-                                                          (= partitions).")
-      $ Arg.(value & opt int 2 & info [ "readers" ] ~doc:"Reader clients.")
-      $ Arg.(
-          value & opt int 2
-          & info [ "value-words" ] ~doc:"Words per value.")
-      $ Arg.(
-          value & opt float 0.99
-          & info [ "theta" ] ~doc:"Zipf skew in [0, 1).")
-      $ Arg.(
-          value
-          & opt
-              (enum
-                 [ ("zipfian", Cxlshm_kv.Ycsb.Zipfian);
-                   ("latest", Cxlshm_kv.Ycsb.Latest);
-                   ("uniform", Cxlshm_kv.Ycsb.Uniform) ])
-              Cxlshm_kv.Ycsb.Zipfian
-          & info [ "dist" ] ~doc:"Key distribution: zipfian, latest, uniform.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "churn" ]
-              ~doc:
-                "Churn schedule, e.g. \
-                 $(b,crash-writer@12500,join-reader@35000); actions: \
-                 crash-writer, crash-reader, leave-writer, join-reader. \
-                 Default: one of each, spread over the run. Empty string \
-                 disables churn.")
-      $ Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.")
-      $ Arg.(
-          value & opt int 256
-          & info [ "quiesce-every" ]
-              ~doc:"Writer ops between reclamation passes.")
-      $ Arg.(
-          value & opt int 100
-          & info [ "hb-every" ] ~doc:"Arrivals between client heartbeats.")
-      $ Arg.(
-          value & opt int 250
-          & info [ "monitor-every" ]
-              ~doc:"Arrivals between failure-monitor passes.")
-      $ Arg.(
-          value & opt float 0.90
-          & info [ "read" ] ~doc:"Read fraction of the op mix.")
-      $ Arg.(
-          value & opt float 0.05
-          & info [ "update" ] ~doc:"Update (COW) fraction of the op mix.")
-      $ Arg.(
-          value & opt float 0.03
-          & info [ "insert" ] ~doc:"Insert fraction of the op mix.")
-      $ Arg.(
-          value & opt float 0.02
-          & info [ "rmw" ] ~doc:"Read-modify-write fraction of the op mix.")
-      $ Arg.(
-          value & flag
-          & info [ "check" ]
-              ~doc:"Run the arena validator before teardown; errors fail \
-                    the run.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "out" ] ~doc:"Write the JSON report to this file."))
-
 (* ---- explore: model-checking schedule exploration ---- *)
 
 module Check_explore = Cxlshm_check.Explore
@@ -854,6 +694,5 @@ let () =
             fsck_cmd;
             trace_cmd;
             top_cmd;
-            serve_cmd;
             explore_cmd;
           ]))

@@ -22,6 +22,7 @@ let () =
       ("evacuate", Test_evacuate.suite);
       ("huge", Test_huge.suite);
       ("bench-util", Test_bench_util.suite);
+      ("bench-report", Test_bench_report.suite);
       ("concurrent", Test_concurrent.suite);
       ("extensions", Test_extensions.suite);
       ("fault-kv", Test_fault_kv.suite);

@@ -9,8 +9,6 @@ module Ycsb = Cxlshm_kv.Ycsb
 module Tatp = Cxlshm_kv.Tatp
 module Smallbank = Cxlshm_kv.Smallbank
 module Kv_intf = Cxlshm_kv.Kv_intf
-module Serve = Cxlshm_serve.Serve
-module Load_gen = Cxlshm_serve.Load_gen
 
 let kv_cfg = { Config.small with Config.num_segments = 32; pages_per_segment = 8 }
 
@@ -965,56 +963,6 @@ let test_recovery_cost_capacity_free () =
   Alcotest.(check (pair int int))
     "recover / adopt_recovered accesses: 16 slots = 4,096 slots" small large
 
-let test_load_gen_schedule () =
-  let g1 = Load_gen.create ~rate_mops:2.0 ~seed:11 in
-  let g2 = Load_gen.create ~rate_mops:2.0 ~seed:11 in
-  let a1 = Array.init 1000 (fun _ -> Load_gen.next_arrival g1) in
-  let a2 = Array.init 1000 (fun _ -> Load_gen.next_arrival g2) in
-  Alcotest.(check bool) "deterministic" true (a1 = a2);
-  Array.iteri
-    (fun i t ->
-      if i > 0 then
-        Alcotest.(check bool) "strictly increasing" true (t > a1.(i - 1)))
-    a1;
-  let mean_gap = a1.(999) /. 1000.0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "mean gap %.1f ns ≈ 500" mean_gap)
-    true
-    (Float.abs (mean_gap -. 500.0) < 50.0)
-
-(* The serving harness end to end, twice: byte-identical reports, every
-   crash recovered in-run, during-churn buckets populated, arena clean. *)
-let test_serve_deterministic_churn () =
-  let cfg = Serve.default_cfg ~keys:4_000 ~ops:3_000 in
-  let cfg =
-    { cfg with Serve.writers = 2; readers = 2; monitor_every = 60;
-      hb_every = 30; final_check = true }
-  in
-  let r1 = Serve.run cfg in
-  let r2 = Serve.run cfg in
-  Alcotest.(check string) "identical reports" (Serve.report_to_json r1)
-    (Serve.report_to_json r2);
-  Alcotest.(check bool) "all recovered" true r1.Serve.all_recovered;
-  Alcotest.(check int) "every crash recovered" r1.Serve.crashes
-    r1.Serve.recoveries;
-  Alcotest.(check bool) "crashes happened" true (r1.Serve.crashes >= 2);
-  Alcotest.(check int) "one planned leave" 1 r1.Serve.leaves;
-  Alcotest.(check int) "one join" 1 r1.Serve.joins;
-  Alcotest.(check int) "validator clean" 0 r1.Serve.check_errors;
-  Alcotest.(check int) "nothing left parked" 0 r1.Serve.deferred_left;
-  Alcotest.(check bool) "during-churn buckets populated" true
-    (List.exists
-       (fun c -> c.Serve.during_churn && c.Serve.count > 0)
-       r1.Serve.classes);
-  let s = Serve.churn_to_string cfg.Serve.churn in
-  (match Serve.churn_of_string s with
-  | Ok c -> Alcotest.(check string) "schedule roundtrip" s
-              (Serve.churn_to_string c)
-  | Error e -> Alcotest.fail e);
-  match Serve.churn_of_string "bogus@5" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a bogus churn action"
-
 let suite =
   [
     Alcotest.test_case "put/get/delete" `Quick test_put_get_delete;
@@ -1052,8 +1000,4 @@ let suite =
       test_recovery_reads_journal_once;
     Alcotest.test_case "recovery cost is independent of registry capacity"
       `Quick test_recovery_cost_capacity_free;
-    Alcotest.test_case "open-loop arrival schedule" `Quick
-      test_load_gen_schedule;
-    Alcotest.test_case "serve: deterministic churn run" `Quick
-      test_serve_deterministic_churn;
   ]
