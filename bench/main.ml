@@ -10,7 +10,6 @@
      dune exec bench/main.exe                 (all experiments, quick sizes)
      dune exec bench/main.exe -- --only fig6-threadtest
      dune exec bench/main.exe -- --full       (larger sweeps)
-     dune exec bench/main.exe -- --bechamel   (Bechamel micro-benchmarks)
      dune exec bench/main.exe -- --list
      dune exec bench/main.exe -- --only rpc --gate BASELINE
                                               (compare with a committed report)
@@ -487,37 +486,6 @@ let bench_fig8_clients () =
   Table.print t;
   print_endline "   (paper: CXL-RPC 3.8-4.6x RDMA at 64 B; about half of raw SPSC)"
 
-let bench_fig8_payload () =
-  let t =
-    Table.create ~title:"Fig 8 (right): RPC throughput vs payload size (1 pair)"
-      ~columns:[ "Bytes"; "CXL-RPC KOPS"; "RDMA KOPS"; "CXL/RDMA" ]
-  in
-  let model = Latency.of_tier Latency.Cxl in
-  let sizes =
-    if !full then [ 64; 512; 4096; 32_768; 524_288 ]
-    else [ 64; 512; 4096; 32_768 ]
-  in
-  List.iter
-    (fun size ->
-      let calls = quick 2_000 300 in
-      let arena = Shm.create ~cfg:(rpc_payload_cfg 1 size) () in
-      let s = cxl_rpc_pair arena ~calls ~payload_bytes:size in
-      let cxl_kops = float_of_int calls /. (Stats.modeled_ns model s /. 1e6) in
-      let rdma_ns = run_rdma ~calls ~payload_bytes:size in
-      let rdma_kops = float_of_int calls /. (rdma_ns /. 1e6) in
-      Table.add_row t
-        [
-          Table.cell_i size;
-          Table.cell_f cxl_kops;
-          Table.cell_f rdma_kops;
-          Table.cell_f (cxl_kops /. rdma_kops);
-        ])
-    sizes;
-  Table.print t;
-  print_endline
-    "   (paper: CXL-RPC flat in payload size — only references move —\n\
-    \    while pass-by-value RDMA degrades with size)"
-
 (* ------------------------------------------------------------------ *)
 (* RPC isolation: zero-copy CXL-RPC vs pass-by-value RDMA              *)
 (* ------------------------------------------------------------------ *)
@@ -618,8 +586,10 @@ let bench_rpc () =
   let calls = quick 2_000 300 in
   let sizes = [ 64; 1_024; 8_192; 65_536 ] in
   let t =
-    Table.create ~title:"RPC isolation: CXL-RPC vs RDMA per call (1 pair)"
-      ~columns:[ "Bytes"; "CXL ns/call"; "RDMA ns/call"; "Speedup" ]
+    Table.create
+      ~title:"RPC isolation: CXL-RPC vs RDMA per call (1 pair; Fig 8 right)"
+      ~columns:
+        [ "Bytes"; "CXL ns/call"; "RDMA ns/call"; "CXL KOPS"; "RDMA KOPS"; "Speedup" ]
   in
   let payload_rows =
     List.map
@@ -633,6 +603,8 @@ let bench_rpc () =
             Table.cell_i size;
             Table.cell_f cxl;
             Table.cell_f rdma;
+            Table.cell_f (1e6 /. cxl);
+            Table.cell_f (1e6 /. rdma);
             Table.cell_f (rdma /. cxl);
           ];
         (size, cxl, rdma))
@@ -647,6 +619,9 @@ let bench_rpc () =
     in
     mono payload_rows
   in
+  print_endline
+    "   (paper, Fig 8 right: CXL-RPC flat in payload size — only references\n\
+    \    move — while pass-by-value RDMA degrades with size)";
   if not widens then
     failwith "rpc bench: zero-copy speedup does not widen with payload size";
   let fanins = [ 1; 2; 4; 8; 16 ] in
@@ -1562,65 +1537,6 @@ let bench_ycsb_presets () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (wall-clock, statistically sampled)       *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let arena = Shm.create ~cfg:(cxl_shm_cfg 1) () in
-  let ctx = Shm.join arena () in
-  let alloc_free =
-    Test.make ~name:"cxl_malloc+drop (64B)"
-      (Staged.stage (fun () ->
-           let r = Shm.cxl_malloc ctx ~size_bytes:64 () in
-           Cxl_ref.drop r))
-  in
-  let parent = Shm.cxl_malloc ctx ~size_bytes:8 ~emb_cnt:1 () in
-  let child = Shm.cxl_malloc ctx ~size_bytes:8 () in
-  let attach_detach =
-    Test.make ~name:"era attach+detach"
-      (Staged.stage (fun () ->
-           Cxl_ref.set_emb parent 0 child;
-           Cxl_ref.clear_emb parent 0))
-  in
-  let mem = Mem.create ~tier:Latency.Cxl ~words:1024 () in
-  let st = Stats.create () in
-  let q = Spsc.create mem ~st ~base:8 ~capacity:64 in
-  let spsc =
-    Test.make ~name:"spsc push+pop"
-      (Staged.stage (fun () ->
-           Spsc.push q ~st 1;
-           ignore (Spsc.pop q ~st)))
-  in
-  let mim = Mim.create ~words:300_000 ~threads:1 in
-  let mth = Mim.thread mim 0 in
-  let mimalloc =
-    Test.make ~name:"mimalloc-baseline alloc+free (64B)"
-      (Staged.stage (fun () ->
-           let b = Mim.alloc mth ~size_bytes:64 in
-           Mim.free mth b))
-  in
-  let tests =
-    Test.make_grouped ~name:"cxlshm" [ alloc_free; attach_detach; spsc; mimalloc ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "== Bechamel micro-benchmarks (wall ns/op) ==";
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-40s %10.1f ns\n" name est
-      | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-    results;
-  Cxl_ref.drop parent;
-  Cxl_ref.drop child
-
-(* ------------------------------------------------------------------ *)
 (* Backends: flat vs striped multi-device pools                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -2024,7 +1940,6 @@ let experiments =
     ("recovery", Plain bench_recovery);
     ("leak-scan", Plain bench_leak_scan);
     ("fig8-clients", Plain bench_fig8_clients);
-    ("fig8-payload", Plain bench_fig8_payload);
     ("rpc", Reported ("rpc", bench_rpc));
     ("fig9-wordcount", Plain bench_fig9_wordcount);
     ("fig9-kmeans", Plain bench_fig9_kmeans);
@@ -2077,7 +1992,6 @@ let run_experiment ~gate = function
 let () =
   let only = ref None in
   let gate = ref None in
-  let bechamel = ref false in
   let list_only = ref false in
   let args =
     [
@@ -2087,13 +2001,11 @@ let () =
         "BASELINE  compare the --only experiment's report with this committed \
          report; fail beyond the 5% budget either way" );
       ("--full", Arg.Set full, " larger parameter sweeps");
-      ("--bechamel", Arg.Set bechamel, " run Bechamel micro-benchmarks");
       ("--list", Arg.Set list_only, " list experiment ids");
     ]
   in
   Arg.parse args (fun _ -> ()) "cxlshm benchmark harness";
   if !list_only then List.iter (fun (id, _) -> print_endline id) experiments
-  else if !bechamel then bechamel_suite ()
   else begin
     let todo =
       match !only with

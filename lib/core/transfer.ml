@@ -16,7 +16,7 @@ let endpoint t = t.endpoint
 let queue_ref t = t.qref
 let dir_index t = t.dir_idx
 
-(* Test-only: see the mutation comment in [receive]. *)
+(* Test-only: see the mutation comment in [receive_batch]. *)
 let mutation_unfenced_advance = ref false
 
 (* Queue-object data layout: ring slots are the emb slots [0..cap-1];
@@ -187,42 +187,13 @@ let open_from (ctx : Ctx.t) ~sender =
 
 type send_result = Sent | Full | Closed
 
-let send t payload =
-  assert (t.endpoint = Sender);
-  Trace.with_span t.ctx Histogram.Transfer_send ~addr:(Cxl_ref.obj t.qref)
-  @@ fun () ->
-  let flags = qload t w_flags in
-  if flags land flag_receiver_closed <> 0 then Closed
-  else begin
-    let tail = qload t w_tail in
-    let head = qload t w_head in
-    if tail - head >= t.capacity then Full
-    else begin
-      let qobj = Cxl_ref.obj t.qref in
-      let slot = Obj_header.emb_slot qobj (tail mod t.capacity) in
-      Refc.attach t.ctx ~ref_addr:slot ~refed:(Cxl_ref.obj payload);
-      Ctx.crash_point t.ctx Fault.Send_after_attach;
-      Ctx.fence t.ctx;
-      (* Ownership transfers to the receiver here (§5.2). Under epoch
-         batching the tail-line write-back rides the next batch boundary
-         ({!Ctx.flush_deferred}) — the tail value itself is already
-         recoverable from the attached slots, the flush only bounds how
-         much a post-crash receiver re-sees. *)
-      qstore t w_tail (tail + 1);
-      let tail_line = qword t.ctx qobj ~cap:t.capacity w_tail in
-      if Ctx.epoch_enabled t.ctx then Ctx.flush_deferred t.ctx tail_line
-      else Ctx.flush t.ctx tail_line;
-      Sent
-    end
-  end
-
 (* Batched send: attach up to [room] payloads to consecutive tail slots,
    then publish the whole prefix with ONE fence and ONE tail store. The
    single tail advance is the only commit point, so the receiver either
    sees none of the batch or a dense prefix of it — per-message
    exactly-once semantics are untouched. A crash between an attach and the
-   tail store leaves the extra slot references owned by the queue object,
-   exactly like a crashed single [send]. *)
+   tail store leaves the attached slot references owned by the queue
+   object. *)
 let send_batch t payloads =
   assert (t.endpoint = Sender);
   Trace.with_span t.ctx Histogram.Transfer_send ~addr:(Cxl_ref.obj t.qref)
@@ -247,7 +218,11 @@ let send_batch t payloads =
           end)
         payloads;
       Ctx.fence t.ctx;
-      (* Ownership of all [!n] messages transfers here. *)
+      (* Ownership of all [!n] messages transfers to the receiver here
+         (§5.2). Under epoch batching the tail-line write-back rides the
+         next batch boundary ({!Ctx.flush_deferred}) — the tail value itself
+         is already recoverable from the attached slots, the flush only
+         bounds how much a post-crash receiver re-sees. *)
       qstore t w_tail (tail + !n);
       let tail_line = qword t.ctx qobj ~cap:t.capacity w_tail in
       if Ctx.epoch_enabled t.ctx then Ctx.flush_deferred t.ctx tail_line
@@ -256,63 +231,94 @@ let send_batch t payloads =
     end
   end
 
+(* A single send is the batch of one. *)
+let send t payload =
+  match send_batch t [ payload ] with _, r -> r
+
 type recv_result = Received of Cxl_ref.t | Empty | Drained
 
-let receive t =
+type recv_batch = Received_batch of Cxl_ref.t list | Batch_empty | Batch_drained
+
+(* Batched receive: consume up to [max] messages, handing their slots back
+   to the sender with ONE fence and ONE head store. Each message runs the
+   full attach-then-detach era transaction (count never drops below 1), so
+   a crash mid-batch leaves messages whose slot was detached owned by this
+   client's fresh RootRefs (reaped with the client) and the rest owned by
+   the queue. *)
+let receive_batch t ~max =
   assert (t.endpoint = Receiver);
   Trace.with_span t.ctx Histogram.Transfer_recv ~addr:(Cxl_ref.obj t.qref)
   @@ fun () ->
   let head = qload t w_head in
   let tail = qload t w_tail in
   if head = tail then
-    if qload t w_flags land flag_sender_closed <> 0 then Drained else Empty
+    if qload t w_flags land flag_sender_closed <> 0 then Batch_drained
+    else Batch_empty
   else begin
-    let qobj = Cxl_ref.obj t.qref in
-    let slot = Obj_header.emb_slot qobj (head mod t.capacity) in
-    let obj = Ctx.load t.ctx slot in
-    assert (obj <> 0);
-    (* Mutation self-check switch: re-introduces the pre-fix unfenced head
-       advance. As with [Spsc_queue.mutation_unfenced_pop], the simulator's
-       atomics are sequentially consistent, so the mutation applies the
-       reordering the missing fence permitted on hardware — the head store
-       becomes visible before the slot detach, handing the slot back to the
-       sender while it still holds the old counted reference. *)
-    if !mutation_unfenced_advance then qstore t w_head (head + 1);
-    let rr = Alloc.alloc_rootref t.ctx in
-    if Ctx.epoch_enabled t.ctx then
-      (* Count-neutral receive: one Move era transaction relinks the
-         counted reference from the queue slot to the fresh RootRef — the
-         attach/detach CAS pair (two header CASes, two redo records)
-         collapses into two plain stores under a single redo record. The
-         object's count never moves, so it never transits zero. *)
-      Refc.move t.ctx ~ref_addr:slot ~rr ~refed:obj
+    let n = min max (tail - head) in
+    if n <= 0 then Batch_empty
     else begin
-      (* Attach-then-detach keeps the object's count >= 1 throughout. *)
-      Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj;
-      Ctx.crash_point t.ctx Fault.Recv_after_attach;
-      let n = Refc.detach t.ctx ~ref_addr:slot ~refed:obj in
-      assert (n >= 1);
-      Ctx.crash_point t.ctx Fault.Recv_after_detach
-    end;
-    (* The slot clear must be visible before the head store publishes the
-       slot back to the sender — and the head must be persistent before we
-       hand the result out, mirroring [send]'s fence + tail flush. Without
-       the fence a sender sees the advanced head while the slot still holds
-       the old reference; without the flush a crash here replays a message
-       the caller already consumed. Epoch mode defers the head-line
-       write-back to the batch boundary: replaying an already-consumed
-       message is count-safe there because the slot detach is a recoverable
-       Move, not a committed decrement. *)
-    if not !mutation_unfenced_advance then begin
-      Ctx.fence t.ctx;
-      qstore t w_head (head + 1);
-      let head_line = qword t.ctx qobj ~cap:t.capacity w_head in
-      if Ctx.epoch_enabled t.ctx then Ctx.flush_deferred t.ctx head_line
-      else Ctx.flush t.ctx head_line
-    end;
-    Ctx.crash_point t.ctx Fault.Recv_after_advance;
-    Received (Cxl_ref.of_rootref t.ctx rr)
+      let qobj = Cxl_ref.obj t.qref in
+      let out = ref [] in
+      for i = 0 to n - 1 do
+        let slot = Obj_header.emb_slot qobj ((head + i) mod t.capacity) in
+        let obj = Ctx.load t.ctx slot in
+        assert (obj <> 0);
+        (* Mutation self-check switch: re-introduces the pre-fix unfenced
+           head advance. As with [Spsc_queue.mutation_unfenced_pop], the
+           simulator's atomics are sequentially consistent, so the mutation
+           applies the reordering the missing fence permitted on hardware —
+           the head store becomes visible before the slot detaches, handing
+           the slots back to the sender while they still hold the old
+           counted references. *)
+        if i = 0 && !mutation_unfenced_advance then qstore t w_head (head + n);
+        let rr = Alloc.alloc_rootref t.ctx in
+        if Ctx.epoch_enabled t.ctx then
+          (* Count-neutral receive: one Move era transaction relinks the
+             counted reference from the queue slot to the fresh RootRef —
+             the attach/detach CAS pair (two header CASes, two redo
+             records) collapses into two plain stores under a single redo
+             record. The object's count never moves, so it never transits
+             zero. *)
+          Refc.move t.ctx ~ref_addr:slot ~rr ~refed:obj
+        else begin
+          Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj;
+          Ctx.crash_point t.ctx Fault.Recv_after_attach;
+          let c = Refc.detach t.ctx ~ref_addr:slot ~refed:obj in
+          assert (c >= 1);
+          Ctx.crash_point t.ctx Fault.Recv_after_detach
+        end;
+        out := Cxl_ref.of_rootref t.ctx rr :: !out
+      done;
+      (* The slot clears must be visible before the one head store that
+         publishes the slots back to the sender — and the head must be
+         persistent before the results are handed out, mirroring
+         [send_batch]'s fence + tail flush. Without the fence a sender sees
+         the advanced head while a slot still holds the old reference;
+         without the flush a crash here replays messages the caller already
+         consumed. Epoch mode defers the head-line write-back to the batch
+         boundary: replaying an already-consumed message is count-safe
+         there because the slot detach is a recoverable Move, not a
+         committed decrement. *)
+      if not !mutation_unfenced_advance then begin
+        Ctx.fence t.ctx;
+        qstore t w_head (head + n);
+        let head_line = qword t.ctx qobj ~cap:t.capacity w_head in
+        if Ctx.epoch_enabled t.ctx then Ctx.flush_deferred t.ctx head_line
+        else Ctx.flush t.ctx head_line
+      end;
+      Ctx.crash_point t.ctx Fault.Recv_after_advance;
+      Received_batch (List.rev !out)
+    end
   end
+
+(* A single receive is the batch of one. *)
+let receive t =
+  match receive_batch t ~max:1 with
+  | Received_batch [ r ] -> Received r
+  | Received_batch _ -> assert false
+  | Batch_empty -> Empty
+  | Batch_drained -> Drained
 
 (* Final teardown of a directory slot once both endpoints are closed: the
    [as_cid] identity performs the resumable detach of the directory's
@@ -344,16 +350,16 @@ let try_cleanup (ctx : Ctx.t) ~as_cid q =
          ~desired:(pack_state ~phase:phase_cleaning ~owner:as_cid)
   then cleanup_slot ctx ~as_cid q
 
-let set_flag t bit =
-  let qobj = Cxl_ref.obj t.qref in
-  let addr = qword t.ctx qobj ~cap:t.capacity w_flags in
+let set_flag_raw (ctx : Ctx.t) addr bit =
   let rec loop () =
-    let cur = Ctx.load t.ctx addr in
+    let cur = Ctx.load ctx addr in
     if cur land bit = 0 then
-      if not (Ctx.cas t.ctx addr ~expected:cur ~desired:(cur lor bit)) then
-        loop ()
+      if not (Ctx.cas ctx addr ~expected:cur ~desired:(cur lor bit)) then loop ()
   in
   loop ()
+
+let set_flag t bit =
+  set_flag_raw t.ctx (qword t.ctx (Cxl_ref.obj t.qref) ~cap:t.capacity w_flags) bit
 
 let close t =
   let bit = if t.endpoint = Sender then flag_sender_closed else flag_receiver_closed in
@@ -365,59 +371,6 @@ let close t =
   then try_cleanup t.ctx ~as_cid:t.ctx.Ctx.cid t.dir_idx;
   Cxl_ref.drop t.qref
 
-type recv_batch = Received_batch of Cxl_ref.t list | Batch_empty | Batch_drained
-
-(* Batched receive: consume up to [max] messages, handing their slots back
-   to the sender with ONE fence and ONE head store. Each message still runs
-   the full attach-then-detach era transaction (count never drops below 1),
-   and a crash mid-batch is indistinguishable from a crash mid-[receive]:
-   messages whose slot was detached are owned by this client's fresh
-   RootRefs (reaped with the client), the rest stay owned by the queue. *)
-let receive_batch t ~max =
-  assert (t.endpoint = Receiver);
-  Trace.with_span t.ctx Histogram.Transfer_recv ~addr:(Cxl_ref.obj t.qref)
-  @@ fun () ->
-  let head = qload t w_head in
-  let tail = qload t w_tail in
-  if head = tail then
-    if qload t w_flags land flag_sender_closed <> 0 then Batch_drained
-    else Batch_empty
-  else begin
-    let n = min max (tail - head) in
-    if n <= 0 then Batch_empty
-    else begin
-      let qobj = Cxl_ref.obj t.qref in
-      let out = ref [] in
-      for i = 0 to n - 1 do
-        let slot = Obj_header.emb_slot qobj ((head + i) mod t.capacity) in
-        let obj = Ctx.load t.ctx slot in
-        assert (obj <> 0);
-        let rr = Alloc.alloc_rootref t.ctx in
-        if Ctx.epoch_enabled t.ctx then
-          (* Count-neutral per-message relink — see [receive]. *)
-          Refc.move t.ctx ~ref_addr:slot ~rr ~refed:obj
-        else begin
-          Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj;
-          Ctx.crash_point t.ctx Fault.Recv_after_attach;
-          let c = Refc.detach t.ctx ~ref_addr:slot ~refed:obj in
-          assert (c >= 1);
-          Ctx.crash_point t.ctx Fault.Recv_after_detach
-        end;
-        out := Cxl_ref.of_rootref t.ctx rr :: !out
-      done;
-      (* All slot detaches must be visible before the one head store that
-         returns the slots to the sender; the head must be persistent
-         before the results are handed out (mirrors [receive]). *)
-      Ctx.fence t.ctx;
-      qstore t w_head (head + n);
-      let head_line = qword t.ctx qobj ~cap:t.capacity w_head in
-      if Ctx.epoch_enabled t.ctx then Ctx.flush_deferred t.ctx head_line
-      else Ctx.flush t.ctx head_line;
-      Ctx.crash_point t.ctx Fault.Recv_after_advance;
-      Received_batch (List.rev !out)
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -427,14 +380,6 @@ let queue_flags_addr (ctx : Ctx.t) qobj =
     Obj_header.meta_emb_cnt (Ctx.load ctx (Obj_header.meta_of_obj qobj))
   in
   qword ctx qobj ~cap w_flags
-
-let set_flag_raw (ctx : Ctx.t) addr bit =
-  let rec loop () =
-    let cur = Ctx.load ctx addr in
-    if cur land bit = 0 then
-      if not (Ctx.cas ctx addr ~expected:cur ~desired:(cur lor bit)) then loop ()
-  in
-  loop ()
 
 let recover_endpoints (ctx : Ctx.t) ~failed_cid =
   let lay = ctx.Ctx.lay in

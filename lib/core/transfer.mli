@@ -51,8 +51,10 @@ val open_from : Ctx.t -> sender:int -> t option
 type send_result = Sent | Full | Closed
 
 val send : t -> Cxl_ref.t -> send_result
-(** Share the handle's object with the peer. The sender keeps its own
-    reference (drop it separately if no longer needed). *)
+(** Share the handle's object with the peer: the batch of one,
+    [send_batch t [p]], issuing the same loads, attach, fence, tail store
+    and flush. The sender keeps its own reference (drop it separately if
+    no longer needed). *)
 
 val send_batch : t -> Cxl_ref.t list -> int * send_result
 (** Publish a prefix of the payloads (limited by ring room) under a
@@ -64,14 +66,16 @@ val send_batch : t -> Cxl_ref.t list -> int * send_result
 type recv_result = Received of Cxl_ref.t | Empty | Drained
 
 val receive : t -> recv_result
-(** [Drained] = the sender closed (or died) and the ring is empty. *)
+(** The batch of one, [receive_batch t ~max:1]. [Drained] = the sender
+    closed (or died) and the ring is empty. *)
 
 type recv_batch = Received_batch of Cxl_ref.t list | Batch_empty | Batch_drained
 
 val receive_batch : t -> max:int -> recv_batch
 (** Consume up to [max] messages, releasing all their slots with a single
-    fence and head advance. Each message still runs the attach-then-detach
-    era transaction, so per-message crash atomicity matches {!receive}. *)
+    fence and head advance. Each message runs its own attach-then-detach
+    era transaction (a count-neutral move under epoch batching), so
+    per-message crash atomicity does not depend on the batch size. *)
 
 val close : t -> unit
 (** Close this endpoint and drop its queue reference. When both endpoints
@@ -117,6 +121,8 @@ val clear_wild_directory_refs :
 
 val mutation_unfenced_advance : bool ref
 (** {b Test-only.} Re-introduces the historical unfenced head advance in
-    {!receive} for the model checker's mutation self-check, expressed as the
-    reordering the missing fence permitted (head published before the slot
-    detach). Must stay [false] outside the explorer's mutation tests. *)
+    {!receive_batch} (and so {!receive}) for the model checker's mutation
+    self-check, expressed as the reordering the missing fence permitted:
+    the head store is published before the first slot detaches, and the
+    fenced head store and flush are skipped. Must stay [false] outside the
+    explorer's mutation tests. *)

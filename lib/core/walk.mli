@@ -3,8 +3,8 @@
     Block positions are computable because pages hold fixed-size blocks
     (§5.3): a segment is a run of carved pages or one huge object, and
     block [i] of a page sits at [page_area + i * block_words]. {!Validate},
-    {!Fsck}, {!Cycle_gc}, {!Debug} and the RPC receive-side pointer check
-    take their blocks, holders and reachability from here.
+    {!Fsck}, {!Debug} and the RPC receive-side pointer check take their
+    blocks, holders and reachability from here.
 
     Every read is a {!Cxlshm_shmem.Mem.unsafe_peek}, so walking charges no
     client and moves no modeled figure. Each call reads the image as it is

@@ -32,47 +32,10 @@ let head t ~st = Mem.load t.mem ~st (t.base + 2)
 let tail t ~st = Mem.load t.mem ~st (t.base + 3)
 let slot t i = t.base + hdr_words + (i mod t.cap)
 
-let try_push t ~st v =
-  let tl = tail t ~st in
-  if tl - head t ~st >= t.cap then false
-  else begin
-    Mem.store t.mem ~st (slot t tl) v;
-    Mem.fence t.mem ~st;
-    Mem.store t.mem ~st (t.base + 3) (tl + 1);
-    true
-  end
-
-(* Mutation self-check switch: re-introduces the missing-fence pop bug this
-   queue shipped with for two PRs. OCaml atomics are sequentially
-   consistent, so simply deleting the fence below would change nothing in
-   simulation — instead the mutation applies the reordering the missing
-   fence *permits* on real hardware: the head store is issued before the
-   slot read, so the producer can reuse the slot while the consumer still
-   holds a stale value. Test-only; never set outside the explorer. *)
-let mutation_unfenced_pop = ref false
-
-let try_pop t ~st =
-  let hd = head t ~st in
-  if hd = tail t ~st then None
-  else if !mutation_unfenced_pop then begin
-    Mem.store t.mem ~st (t.base + 2) (hd + 1);
-    Some (Mem.load t.mem ~st (slot t hd))
-  end
-  else begin
-    let v = Mem.load t.mem ~st (slot t hd) in
-    (* The slot read must complete before the head store publishes the slot
-       back to the producer, mirroring the fence in [try_push]; without it
-       the producer may overwrite the slot while we still hold a stale [v]. *)
-    Mem.fence t.mem ~st;
-    Mem.store t.mem ~st (t.base + 2) (hd + 1);
-    Some v
-  end
-
-(* Multi-slot variants: same protocol, one fence and one index store for
-   the whole batch. The single fence is sufficient because the slots are
-   filled (resp. read) strictly before the one tail (resp. head) store that
-   publishes them — a consumer can never observe a slot the fence has not
-   ordered. *)
+(* Lamport's protocol, one fence and one index store per call: the slots
+   are filled (resp. read) strictly before the one tail (resp. head) store
+   that publishes them, so a consumer can never observe a slot the fence
+   has not ordered. The single-element calls are the batch of one. *)
 
 let try_push_n t ~st vs =
   match vs with
@@ -95,18 +58,39 @@ let try_push_n t ~st vs =
         !n
       end
 
+let try_push t ~st v = try_push_n t ~st [ v ] = 1
+
+(* Mutation self-check switch: re-introduces the missing-fence pop bug this
+   queue shipped with for two PRs. OCaml atomics are sequentially
+   consistent, so simply deleting the fence below would change nothing in
+   simulation — instead the mutation applies the reordering the missing
+   fence *permits* on real hardware: the head store is issued before the
+   slot reads, so the producer can reuse the slots while the consumer still
+   holds stale values. Test-only; never set outside the explorer. *)
+let mutation_unfenced_pop = ref false
+
 let try_pop_n t ~st ~max =
   if max <= 0 then []
   else
     let hd = head t ~st in
     let n = min max (tail t ~st - hd) in
     if n <= 0 then []
+    else if !mutation_unfenced_pop then begin
+      Mem.store t.mem ~st (t.base + 2) (hd + n);
+      List.init n (fun i -> Mem.load t.mem ~st (slot t (hd + i)))
+    end
     else begin
       let vs = List.init n (fun i -> Mem.load t.mem ~st (slot t (hd + i))) in
+      (* The slot reads must complete before the head store publishes the
+         slots back to the producer; without the fence the producer may
+         overwrite a slot while we still hold a stale value. *)
       Mem.fence t.mem ~st;
       Mem.store t.mem ~st (t.base + 2) (hd + n);
       vs
     end
+
+let try_pop t ~st =
+  match try_pop_n t ~st ~max:1 with [ v ] -> Some v | _ -> None
 
 let rec push t ~st v =
   if not (try_push t ~st v) then begin

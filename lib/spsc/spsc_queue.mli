@@ -29,7 +29,11 @@ val attach :
 
 val capacity : t -> int
 val try_push : t -> st:Cxlshm_shmem.Stats.t -> int -> bool
+(** The batch of one: [try_push_n t ~st [v] = 1]. *)
+
 val try_pop : t -> st:Cxlshm_shmem.Stats.t -> int option
+(** The batch of one: [try_pop_n t ~st ~max:1]. *)
+
 val try_push_n : t -> st:Cxlshm_shmem.Stats.t -> int list -> int
 (** Push a prefix of the list limited by the free room, publishing all of
     it with a {e single} fence and tail store; returns how many were
@@ -48,7 +52,8 @@ val pop : t -> st:Cxlshm_shmem.Stats.t -> int
 val length : t -> st:Cxlshm_shmem.Stats.t -> int
 
 val mutation_unfenced_pop : bool ref
-(** {b Test-only.} Re-introduces the historical missing-fence [try_pop] bug
-    for the model checker's mutation self-check, expressed as the store
-    reordering the missing fence permits (head published before the slot
-    read). Must stay [false] outside the explorer's mutation tests. *)
+(** {b Test-only.} Re-introduces the historical missing-fence pop bug in
+    {!try_pop_n} (and so {!try_pop}) for the model checker's mutation
+    self-check, expressed as the store reordering the missing fence permits
+    (head published before the slot reads). Must stay [false] outside the
+    explorer's mutation tests. *)

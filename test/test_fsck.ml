@@ -168,6 +168,80 @@ let test_repair_idempotent () =
   Alcotest.(check int) "nothing left: counts" 0 r2.Fsck.counts_fixed;
   Alcotest.(check int) "nothing left: clients" 0 r2.Fsck.clients_swept
 
+(* Reference counting leaks a garbage cycle online; fsck's mark pass is
+   the offline tracing collector that reclaims it (§4.1), and leaves what
+   a durable root anchors alone. *)
+let test_garbage_cycle_reclaimed () =
+  let arena = Shm.create ~cfg:Config.small () in
+  let a = Shm.join arena () in
+  Test_gc_persist.make_cycle a;
+  let keep = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+  let child = Shm.cxl_malloc a ~size_bytes:8 () in
+  Cxl_ref.write_word child 0 777;
+  Cxl_ref.set_emb keep 0 child;
+  Cxl_ref.drop child;
+  (* a named root, so fsck's client sweep cannot drop [keep] *)
+  Named_roots.publish a ~name:"keep" keep;
+  Cxl_ref.drop keep;
+  let r = repair arena in
+  Alcotest.(check bool) "repaired" true (Fsck.clean r);
+  Alcotest.(check int) "three cycle members freed" 3 r.Fsck.unreachable_freed;
+  let b = Shm.join arena () in
+  (match Named_roots.lookup b ~name:"keep" with
+  | None -> Alcotest.fail "anchored object lost"
+  | Some k ->
+      Alcotest.(check int) "reachable child intact" 777
+        (Ctx.load b (Obj_header.data_of_obj (Cxl_ref.get_emb k 0)));
+      Cxl_ref.drop k);
+  Shm.leave b;
+  Alcotest.(check bool) "still clean" true (check_clean arena);
+  let r2 = repair arena in
+  Alcotest.(check int) "second repair frees nothing" 0 r2.Fsck.unreachable_freed;
+  Alcotest.(check int) "second repair fixes no count" 0 r2.Fsck.counts_fixed
+
+(* A huge object's payload covers its continuation segments' header words.
+   Payload that reads there like a head page of kind Huge holding a counted
+   object must not make the continuation look like a second, unreachable
+   huge head: the mark pass would free segments from the middle of the
+   live object. *)
+let test_huge_header_like_payload_kept () =
+  let arena = Shm.create ~cfg:Config.small () in
+  let lay = Shm.layout arena in
+  let a = Shm.join arena () in
+  let words = lay.Layout.segment_words + 500 in
+  let r = Shm.cxl_malloc_words a ~data_words:words () in
+  let data = Obj_header.data_of_obj (Cxl_ref.obj r) in
+  let cont = Layout.segment_of_addr lay (Cxl_ref.obj r) + 1 in
+  let kind_at =
+    Layout.page_kind lay ~gid:(Layout.page_gid lay ~seg:cont ~page:0) - data
+  in
+  let hdr_at = Layout.segment_base lay cont + lay.Layout.seg_hdr_words - data in
+  let fake_hdr = Obj_header.pack { Obj_header.lcid = None; lera = 0; ref_cnt = 1 } in
+  Cxl_ref.write_word r kind_at (Config.kind_huge Config.small);
+  Cxl_ref.write_word r hdr_at fake_hdr;
+  Cxl_ref.write_word r (words - 1) 4242;
+  Named_roots.publish a ~name:"huge" r;
+  Cxl_ref.drop r;
+  Alcotest.(check bool) "pre-check clean" true (check_clean arena);
+  let rep = repair arena in
+  Alcotest.(check bool) "repaired" true (Fsck.clean rep);
+  Alcotest.(check int) "nothing freed" 0 rep.Fsck.unreachable_freed;
+  Alcotest.(check int) "no header cleared" 0 rep.Fsck.torn_headers_cleared;
+  let b = Shm.join arena () in
+  (match Named_roots.lookup b ~name:"huge" with
+  | None -> Alcotest.fail "anchored huge object lost"
+  | Some h ->
+      Alcotest.(check int) "kind-like payload intact" (Config.kind_huge Config.small)
+        (Cxl_ref.read_word h kind_at);
+      Alcotest.(check int) "header-like payload intact" fake_hdr
+        (Cxl_ref.read_word h hdr_at);
+      Alcotest.(check int) "tail intact" 4242 (Cxl_ref.read_word h (words - 1));
+      Cxl_ref.drop h);
+  Alcotest.(check bool) "clean after repair" true (check_clean arena);
+  ignore (Named_roots.unpublish b ~name:"huge");
+  Alloc.collect_deferred b;
+  Alcotest.(check bool) "clean after drop" true (check_clean arena)
+
 let tmp = Filename.temp_file "cxlshm_fsck" ".pool"
 
 let test_damaged_image_roundtrip () =
@@ -331,6 +405,9 @@ let suite =
     Alcotest.test_case "wild ref cleared, orphan freed" `Quick test_wild_ref_cleared_unreachable_freed;
     Alcotest.test_case "broken geometry quarantined" `Quick test_broken_geometry_quarantined;
     Alcotest.test_case "repair is idempotent" `Quick test_repair_idempotent;
+    Alcotest.test_case "garbage cycle reclaimed" `Quick test_garbage_cycle_reclaimed;
+    Alcotest.test_case "huge with header-like payload kept" `Quick
+      test_huge_header_like_payload_kept;
     Alcotest.test_case "damaged image round-trip" `Quick test_damaged_image_roundtrip;
     Alcotest.test_case "soak matrix all clean" `Quick test_soak_matrix;
   ]

@@ -1,8 +1,7 @@
-(* Sorted-list ordered map and the broadcast log (lib/structures). *)
+(* Sorted-list ordered map (lib/structures). *)
 
 open Cxlshm
 module Sl = Cxlshm_structures.Sorted_list
-module Bl = Cxlshm_structures.Broadcast_log
 
 let setup () =
   let arena = Shm.create ~cfg:Config.small () in
@@ -129,101 +128,6 @@ let prop_sl_matches_map =
       ignore (Shm.scan_leaking arena);
       ok && Validate.is_clean (Shm.validate arena))
 
-(* ---- broadcast log ---- *)
-
-let mk ctx v =
-  let r = Shm.cxl_malloc ctx ~size_bytes:8 () in
-  Cxl_ref.write_word r 0 v;
-  r
-
-let test_bl_fanout () =
-  let arena, a, b = setup () in
-  let c = Shm.join arena () in
-  let w = Bl.create a ~capacity:8 in
-  let cb = Bl.subscribe b (Bl.log_ref w) in
-  let cc = Bl.subscribe c (Bl.log_ref w) in
-  for i = 1 to 5 do
-    let p = mk a (i * 10) in
-    ignore (Bl.publish w p);
-    Cxl_ref.drop p
-  done;
-  let drain cur =
-    let rec go acc =
-      match Bl.poll cur with
-      | `Entry (_, r) ->
-          let v = Cxl_ref.read_word r 0 in
-          Cxl_ref.drop r;
-          go (v :: acc)
-      | `Empty -> List.rev acc
-      | `Lagged _ -> go acc
-    in
-    go []
-  in
-  Alcotest.(check (list int)) "b sees all" [ 10; 20; 30; 40; 50 ] (drain cb);
-  Alcotest.(check (list int)) "c sees all independently" [ 10; 20; 30; 40; 50 ]
-    (drain cc);
-  Bl.close_cursor cb;
-  Bl.close_cursor cc;
-  Bl.close_writer w;
-  ignore (Shm.scan_leaking arena);
-  let v = Shm.validate arena in
-  Alcotest.(check int) "log reclaimed" 0 v.Validate.live_objects;
-  Alcotest.(check bool) "clean" true (Validate.is_clean v)
-
-let test_bl_lag () =
-  let arena, a, b = setup () in
-  let w = Bl.create a ~capacity:4 in
-  let cur = Bl.subscribe b (Bl.log_ref w) in
-  for i = 1 to 10 do
-    let p = mk a i in
-    ignore (Bl.publish w p);
-    Cxl_ref.drop p
-  done;
-  (* capacity 4, 10 published: the cursor must lag to entry 6 *)
-  (match Bl.poll cur with
-  | `Lagged n -> Alcotest.(check int) "skipped" 6 n
-  | _ -> Alcotest.fail "expected lag");
-  let rec drain acc =
-    match Bl.poll cur with
-    | `Entry (_, r) ->
-        let v = Cxl_ref.read_word r 0 in
-        Cxl_ref.drop r;
-        drain (v :: acc)
-    | `Empty -> List.rev acc
-    | `Lagged _ -> drain acc
-  in
-  Alcotest.(check (list int)) "retained window" [ 7; 8; 9; 10 ] (drain []);
-  Bl.close_cursor cur;
-  Bl.close_writer w;
-  ignore (Shm.scan_leaking arena);
-  Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena))
-
-let test_bl_subscriber_keeps_entry_alive () =
-  let arena, a, b = setup () in
-  let w = Bl.create a ~capacity:2 in
-  let cur = Bl.subscribe b (Bl.log_ref w) in
-  let p = mk a 111 in
-  ignore (Bl.publish w p);
-  Cxl_ref.drop p;
-  let held =
-    match Bl.poll cur with
-    | `Entry (_, r) -> r
-    | _ -> Alcotest.fail "no entry"
-  in
-  (* overwrite the whole ring: the held entry must survive *)
-  for i = 1 to 6 do
-    let q = mk a i in
-    ignore (Bl.publish w q);
-    Cxl_ref.drop q
-  done;
-  Alcotest.(check int) "held entry alive after overwrite" 111
-    (Cxl_ref.read_word held 0);
-  Cxl_ref.drop held;
-  Bl.close_cursor cur;
-  Bl.close_writer w;
-  ignore (Shm.scan_leaking arena);
-  Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena))
-
 let suite =
   [
     Alcotest.test_case "sorted list basic" `Quick test_sl_basic;
@@ -232,7 +136,4 @@ let suite =
     Alcotest.test_case "sorted list shared reader" `Quick test_sl_shared_reader;
     Alcotest.test_case "sorted list writer crash" `Quick test_sl_writer_crash;
     Generators.to_alcotest prop_sl_matches_map;
-    Alcotest.test_case "broadcast fan-out" `Quick test_bl_fanout;
-    Alcotest.test_case "broadcast lag" `Quick test_bl_lag;
-    Alcotest.test_case "broadcast holds entries" `Quick test_bl_subscriber_keeps_entry_alive;
   ]
